@@ -8,8 +8,10 @@ classically on the resulting ground formulas.
 
 Two engines are kept deliberately independent:
 
-  * `is_consistent` / `entails` clausify the ground formulas and run a small
-    complete search (unit propagation + branching);
+  * `is_consistent` / `entails` / `consequences` clausify the ground
+    formulas and run one complete iterative search (`_solve`: unit
+    propagation over occurrence lists, an explicit trail and chronological
+    backtracking), so input size is bounded by memory, not recursion depth;
   * `enumerate_models` evaluates the formulas semantically over every
     interpretation of the Herbrand base, and serves as the brute-force oracle
     the first engine is tested against.
@@ -259,15 +261,6 @@ class Signature:
     constants: tuple[str, ...] = ()
     predicates: tuple[tuple[str, int], ...] = ()
 
-    def arity_of(self, predicate: str) -> int | None:
-        for name, arity in self.predicates:
-            if name == predicate:
-                return arity
-        return None
-
-    def merge(self, other: "Signature") -> "Signature":
-        return collect_signature([self, other])
-
     def herbrand_atoms(self) -> tuple[Atom, ...]:
         atoms = []
         for name, arity in self.predicates:
@@ -396,28 +389,85 @@ def _clausify(formulas: Iterable[GroundFormula], index: Mapping[Atom, int]) -> l
     return clauses
 
 
-def _satisfiable(clauses: list[list[int]]) -> bool:
-    # Unit propagation to fixpoint, then branch on the first unassigned atom.
+def _solve(clauses: list[list[int]]) -> set[int] | None:
+    """The literals of one satisfying partial assignment, or None if unsatisfiable.
+
+    Iterative DPLL: unit propagation over occurrence lists, an explicit trail,
+    and chronological backtracking that flips the most recent unflipped
+    decision.  Every clause is satisfied by the returned literals, so any
+    variable they leave out can take either value.
+    """
+    occurs: dict[int, list[list[int]]] = {}  # literal -> clauses it falsifies when true
+    true: set[int] = set()
+    trail: list[int] = []
+    for clause in clauses:
+        if not clause:
+            return None
+        for lit in clause:
+            occurs.setdefault(-lit, []).append(clause)
+        if len(clause) == 1:
+            (lit,) = clause
+            if -lit in true:
+                return None
+            if lit not in true:
+                true.add(lit)
+                trail.append(lit)
+    # each decision: (trail length before it, literal, branch scan position, flipped)
+    decisions: list[tuple[int, int, int, bool]] = []
+    head = 0
+    scan = 0
     while True:
-        unit = next((c[0] for c in clauses if len(c) == 1), None)
-        if unit is None:
-            break
-        reduced = []
-        for clause in clauses:
-            if unit in clause:
-                continue
-            if -unit in clause:
-                rest = [l for l in clause if l != -unit]
-                if not rest:
-                    return False
-                reduced.append(rest)
-            else:
-                reduced.append(clause)
-        clauses = reduced
-    if not clauses:
-        return True
-    var = abs(clauses[0][0])
-    return _satisfiable(clauses + [[var]]) or _satisfiable(clauses + [[-var]])
+        conflict = False
+        while head < len(trail) and not conflict:
+            for clause in occurs.get(trail[head], ()):
+                free = 0
+                for lit in clause:
+                    if lit in true:
+                        break
+                    if -lit not in true:
+                        free += 1
+                        unit = lit
+                else:
+                    if free == 0:
+                        conflict = True
+                        break
+                    if free == 1:
+                        true.add(unit)
+                        trail.append(unit)
+            head += 1
+        if conflict:
+            while decisions and decisions[-1][3]:
+                decisions.pop()
+            if not decisions:
+                return None
+            mark, lit, scan, _ = decisions.pop()
+            for undone in trail[mark:]:
+                true.discard(undone)
+            del trail[mark:]
+            head = mark
+            branch = -lit
+            decisions.append((mark, branch, scan, True))
+        else:
+            # Branch on a free literal of the first clause not yet satisfied
+            # (after propagation it has one).  Clauses before `scan` were
+            # satisfied when the last decision was made and stay so until it
+            # is undone, so the scan resumes there.
+            branch = None
+            while scan < len(clauses):
+                for lit in clauses[scan]:
+                    if lit in true:
+                        break
+                    if branch is None and -lit not in true:
+                        branch = lit
+                else:
+                    break
+                branch = None
+                scan += 1
+            if branch is None:
+                return true
+            decisions.append((len(trail), branch, scan, False))
+        true.add(branch)
+        trail.append(branch)
 
 
 def _atom_index(groups: Iterable[Iterable[GroundFormula]]) -> dict[Atom, int]:
@@ -436,7 +486,7 @@ def is_consistent(formulas: Iterable[GroundFormula]) -> bool:
     """True iff at least one interpretation satisfies every ground formula."""
     fs = tuple(formulas)
     index = _atom_index([fs])
-    return _satisfiable(_clausify(fs, index))
+    return _solve(_clausify(fs, index)) is not None
 
 
 def _as_literals(phi: Union[Literal, Iterable[Literal]]) -> tuple[Literal, ...]:
@@ -465,27 +515,40 @@ def entails(formulas: Iterable[GroundFormula], phi: Union[Literal, Iterable[Lite
         # otherwise phi contains a literal and its complement: its negation is
         # a tautology, so the query reduces to plain unsatisfiability
         clauses.append(negated)
-    return not _satisfiable(clauses)
+    return _solve(clauses) is None
 
 
 def consequences(base: BeliefBase, sig: Signature) -> frozenset[Literal]:
     """Every ground literal over the signature's Herbrand base that the base entails.
 
+    Computed as the backbone of the ground base: the base is clausified once
+    and one model found; only the literals that model makes true can be
+    entailed.  Each remaining candidate, in canonical atom order, is tested
+    by one search with its complement added: no model means it is entailed,
+    and a model drops every candidate that model does not make true.
+
     Undefined (raises InconsistentBase) when the ground base has no model; a
     consistent base never yields both a literal and its negation.
     """
-    gb = ground(base, sig)
-    if not is_consistent(gb.formulas):
+    formulas = ground(base, sig).formulas
+    index = _atom_index([formulas])
+    clauses = _clausify(formulas, index)
+    candidates = _solve(clauses)
+    if candidates is None:
         raise InconsistentBase("consequences undefined: base has no model")
     out = []
     for atom in sig.herbrand_atoms():
-        pos = Literal(atom)
-        if entails(gb.formulas, pos):
-            out.append(pos)
+        if atom not in index:
+            continue
+        v = index[atom] + 1
+        lit = v if v in candidates else -v
+        if lit not in candidates:
+            continue
+        other = _solve(clauses + [[-lit]])
+        if other is None:
+            out.append(Literal(atom, lit < 0))
         else:
-            neg = Literal(atom, True)
-            if entails(gb.formulas, neg):
-                out.append(neg)
+            candidates &= other
     return frozenset(out)
 
 
@@ -500,9 +563,6 @@ class Interpretation:
 
     def as_dict(self) -> dict[Atom, bool]:
         return dict(zip(self.atoms, self.values))
-
-    def value_of(self, atom: Atom) -> bool:
-        return self.values[self.atoms.index(atom)]
 
     def satisfies(self, gf: GroundFormula) -> bool:
         lookup = self.as_dict()

@@ -487,8 +487,8 @@ def check_propositions(params: GeneratorParams, trials: int,
         if strategy.kind == SEEDED_RANDOM:
             strategy = SelectionStrategy(SEEDED_RANDOM, seed=seed)
         result = revise(base, explanation, phi, strategy, cap)
-        union_ground = result.union_before.formulas
-        if not is_consistent(union_ground):
+        union_consistent = is_consistent(result.union_before.formulas)
+        if not union_consistent:
             inconsistent_unions += 1
         report = check_postulates(base, explanation, phi, result, cap, strategy=strategy)
         for name in report.failing:
@@ -496,7 +496,7 @@ def check_propositions(params: GeneratorParams, trials: int,
 
         # proposition structure: vacuity forces consistency + strong
         # acceptance; strong acceptance forces both acceptance variants
-        if is_consistent(union_ground):
+        if union_consistent:
             if not (report.holds("consistency") and report.holds("strong-acceptance")):
                 failures.append(SuiteFailure(
                     "vacuity-implication", seed, _witness(base, explanation, phi, result)))

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from revisekit import (
     BeliefBase,
     CapExceeded,
     EmptyUniverse,
+    GroundRuleInstance,
     InconsistentBase,
     Literal,
     Rule,
@@ -22,6 +24,7 @@ from revisekit import (
     parse_base,
     parse_literals,
 )
+from revisekit.logic import _atom_index, _clausify, _solve
 from conftest import random_ground_formulas
 
 
@@ -119,6 +122,18 @@ class TestConsistency:
     def test_two_facts(self):
         assert is_consistent([lit("Wor(charlie)"), lit("!Ins(charlie)")])
 
+    def test_many_independent_clauses(self):
+        # a recursive search overflows the stack on this input, and one whose
+        # branch scan restarts at the first clause takes seconds
+        n = 5000
+        rules = [GroundRuleInstance((Literal(Atom(f"a{i}")),), Literal(Atom(f"b{i}")))
+                 for i in range(n)]
+        start = time.perf_counter()
+        assert is_consistent(rules)
+        assert entails(rules + [Literal(Atom(f"a{n - 1}"))], Literal(Atom(f"b{n - 1}")))
+        assert not entails(rules, Literal(Atom("b0")))
+        assert time.perf_counter() - start < 3.0
+
 
 class TestEntails:
     def test_alice_entailment(self, alice_base):
@@ -192,6 +207,38 @@ class TestConsequences:
             assert all(str(l.negate()) not in names for l in gamma)
             assert {str(st.formula) for st in base.facts} <= names
 
+    def test_backbone_matches_truth_table(self):
+        # bases with rules over two constants; the consequences must be
+        # exactly the literals every model agrees on
+        rng = random.Random(31)
+        preds = (("P", 1), ("Q", 1), ("R", 1), ("S", 2))
+        universe = Signature(("c", "d"), preds)
+        pool = ["P(X) -> Q(X)", "Q(X) -> !R(X)", "!P(X) -> R(X)",
+                "P(X) & S(X, Y) -> Q(Y)", "S(X, Y) -> S(Y, X)", "R(X) & Q(X) -> !P(X)",
+                "S(X, X) -> !Q(X)", "R(X) -> S(X, X)", "!Q(X) & !R(X) -> P(X)"]
+        atoms = [str(a) for a in universe.herbrand_atoms()]
+        seen = {"consistent": 0, "inconsistent": 0}
+        for trial in range(150):
+            rules = rng.sample(pool, rng.randint(1, 4))
+            facts = {a: rng.random() < 0.4 for a in rng.sample(atoms, rng.randint(0, 6))}
+            text = " ".join(f"{'!' if neg else ''}{a}." for a, neg in facts.items())
+            base = parse_base(text + " " + " ".join(r + "." for r in rules))
+            sig = collect_signature([base, universe])
+            models = enumerate_models(ground(base, sig).formulas, sig)
+            if not models:
+                seen["inconsistent"] += 1
+                with pytest.raises(InconsistentBase):
+                    consequences(base, sig)
+                continue
+            seen["consistent"] += 1
+            expected = set()
+            for i, atom in enumerate(models[0].atoms):
+                values = {m.values[i] for m in models}
+                if len(values) == 1:
+                    expected.add(Literal(atom, not values.pop()))
+            assert consequences(base, sig) == expected
+        assert min(seen.values()) >= 15, seen
+
 
 class TestEnumerateModels:
     def test_single_fact(self):
@@ -233,6 +280,12 @@ class TestOracleAgreement:
             sig = collect_signature([formulas, [Literal(a) for a in atoms]])
             models = enumerate_models(formulas, sig)
             assert is_consistent(formulas) == bool(models)
+            clauses = _clausify(formulas, _atom_index([formulas]))
+            found = _solve(clauses)
+            assert (found is None) == (not models)
+            if found is not None:
+                assert not any(-l in found for l in found)
+                assert all(any(l in found for l in clause) for clause in clauses)
             for _ in range(3):
                 query = Literal(rng.choice(atoms), rng.random() < 0.5)
                 expected = all(m.satisfies(query) for m in models) if models else True
