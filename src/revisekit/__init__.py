@@ -26,7 +26,6 @@ from .logic import (
     Atom,
     BeliefBase,
     GroundBeliefBase,
-    GroundRuleInstance,
     Interpretation,
     Literal,
     Rule,

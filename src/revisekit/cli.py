@@ -35,7 +35,7 @@ from .errors import (
     RevisekitError,
     ScenarioInvalid,
 )
-from .logic import DEFAULT_CAP, collect_signature, entails, ground
+from .logic import DEFAULT_CAP
 from .revision import (
     STRATEGY_KINDS,
     CorrectionSet,
@@ -184,13 +184,13 @@ def cmd_revise(args: argparse.Namespace) -> int:
             raise ValueError(f"unknown incision policy {kind!r}")
         result = falappa.revise_falappa(base, explanation,
                                         falappa.IncisionPolicy(kind, seed=args.seed), cap)
-        sig = collect_signature([base, explanation, phi.literals])
-        holds = entails(ground(result.revised, sig).formulas, phi.literals)
-        result = replace(result, explanandum=phi, entails_explanandum=holds)
     else:
         result = revise(base, explanation, phi, _guided_strategy(args), cap)
 
     report = postulates.check_postulates(base, explanation, phi, result, cap)
+    if args.operator == "falappa":
+        result = replace(result, explanandum=phi,
+                         entails_explanandum=report.holds("strong-acceptance"))
     try:
         measure = metrics.change_measure(base, result.revised)
     except InconsistentBase:

@@ -47,10 +47,6 @@ class CorpusEntry:
     def explanation(self) -> BeliefBase | None:
         return self.scenario.explanation
 
-    @property
-    def expected_type(self) -> str:
-        return self.scenario.problem_type
-
 
 def _load(name: str) -> str:
     return resources.files("revisekit.corpus_data").joinpath(name).read_text(encoding="utf-8")

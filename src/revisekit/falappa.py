@@ -23,6 +23,7 @@ from .revision import (
     UnionElement,
     _UnionContext,
     base_from_elements,
+    union_elements,
 )
 
 
@@ -129,17 +130,14 @@ def revise_falappa(base: BeliefBase, explanation: BeliefBase,
     The operator takes no explanandum: the result is always consistent but may
     or may not entail whatever the explanation was explaining.
     """
-    ctx = _UnionContext(base, explanation, None, cap)
-    union_before = ctx.ground_base()
     ks = kernel_set(base, explanation, cap)
     cut = incise(ks, policy)
     removed = {el.canonical() for el in cut}
-    kept = [el for el in ctx.elements if el.canonical() not in removed]
-    revised = base_from_elements(kept)
+    kept = [el for el in union_elements(base, explanation) if el.canonical() not in removed]
     return RevisionResult(
-        revised,
-        CorrectionSet(cut) if cut else CorrectionSet(()),
-        union_before,
+        base_from_elements(kept),
+        CorrectionSet(cut),
+        not ks.kernels,  # a union is inconsistent iff it has a minimal unsatisfiable subset
         f"falappa:{policy.kind}",
         policy.seed,
     )

@@ -24,7 +24,7 @@ lexicographic order of the canonical serialized form (`str()` of a formula).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Any, Iterable, Iterator, Mapping, Union
 
@@ -146,18 +146,9 @@ class Rule:
 Formula = Union[Literal, Rule]
 
 
-@dataclass(frozen=True)
-class GroundRuleInstance:
-    """A rule instantiated over constants; body and head are ground."""
-
-    body: tuple[Literal, ...]
-    head: Literal
-
-    def __str__(self) -> str:
-        return " & ".join(str(lit) for lit in self.body) + " -> " + str(self.head)
-
-
-GroundFormula = Union[Literal, GroundRuleInstance]
+# A variable-free Formula: a ground literal, or a rule whose body and head
+# are ground (a variable-free rule as written, or one instance of a rule).
+GroundFormula = Formula
 
 
 @dataclass(frozen=True)
@@ -279,7 +270,7 @@ def _scan(part: Any, constants: set[str], predicates: dict[str, int]) -> None:
             _scan(st.formula, constants, predicates)
     elif isinstance(part, Statement):
         _scan(part.formula, constants, predicates)
-    elif isinstance(part, (Rule, GroundRuleInstance)):
+    elif isinstance(part, Rule):
         for lit in part.body:
             _scan(lit, constants, predicates)
         _scan(part.head, constants, predicates)
@@ -322,23 +313,20 @@ def ground_formula(formula: Formula, sig: Signature) -> tuple[GroundFormula, ...
         return (formula,)
     variables = sorted(formula.variables())
     if not variables:
-        return (GroundRuleInstance(formula.body, formula.head),)
+        return (formula,)
     if not sig.constants:
         raise EmptyUniverse(f"rule {formula} has variables but the universe is empty")
-    instances = []
-    for combo in product(sig.constants, repeat=len(variables)):
-        binding = dict(zip(variables, combo))
-        inst = formula.substitute(binding)
-        instances.append(GroundRuleInstance(inst.body, inst.head))
-    return tuple(instances)
+    return tuple(
+        formula.substitute(dict(zip(variables, combo)))
+        for combo in product(sig.constants, repeat=len(variables))
+    )
 
 
 @dataclass(frozen=True, eq=False)
 class GroundBeliefBase:
-    """Ground formulas of a base plus the map back to their source elements."""
+    """The ground formulas of a base, duplicates removed."""
 
     formulas: tuple[GroundFormula, ...]
-    origin: Mapping[GroundFormula, Any] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.formulas)
@@ -350,11 +338,9 @@ class GroundBeliefBase:
 def ground(base: BeliefBase, sig: Signature) -> GroundBeliefBase:
     """Expand every rule over the Herbrand universe; facts are copied verbatim.
 
-    Duplicate ground formulas are kept once, attributed to the first source
-    statement that produces them.
+    Duplicate ground formulas are kept once, at their first occurrence.
     """
     formulas: list[GroundFormula] = []
-    origin: dict[GroundFormula, Statement] = {}
     seen: set[str] = set()
     for st in base.statements:
         for gf in ground_formula(st.formula, sig):
@@ -363,8 +349,7 @@ def ground(base: BeliefBase, sig: Signature) -> GroundBeliefBase:
                 continue
             seen.add(canon)
             formulas.append(gf)
-            origin[gf] = st
-    return GroundBeliefBase(tuple(formulas), origin)
+    return GroundBeliefBase(tuple(formulas))
 
 
 # --- clausification + complete search -------------------------------------

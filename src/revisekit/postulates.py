@@ -19,6 +19,8 @@ import random
 from dataclasses import dataclass, replace as _replace
 
 from .errors import (
+    CapExceeded,
+    EmptyUniverse,
     GenerationFailed,
     InvalidExplanation,
     NonDeterministicStrategy,
@@ -46,6 +48,7 @@ from .revision import (
     Explanandum,
     RevisionResult,
     SelectionStrategy,
+    _UnionContext,
     correction_kernel,
     revise,
     union_elements,
@@ -280,8 +283,11 @@ def random_instance(params: GeneratorParams,
 
     The explanandum conflicts with the base roughly half the time, which keeps
     both the vacuous and the corrective paths of the operator exercised.
-    Reproducible per (params, seed); raises GenerationFailed when the retry
-    budget runs out.
+    Unions with more than nine elements, or whose ground size exceeds `cap`,
+    are skipped; the size is the operator's own count (the sum of every
+    element's ground instances, duplicates included), so the instance is
+    never rejected by the operator under the same cap.  Reproducible per
+    (params, seed); raises GenerationFailed when the retry budget runs out.
     """
     rng = random.Random(("instance", params.seed).__repr__())
     constants = [f"c{i}" for i in range(1, params.constant_count + 1)]
@@ -304,16 +310,11 @@ def random_instance(params: GeneratorParams,
         explanation = _explanation_for(rng, phi, predicates, constants)
         if not validate_explanation(explanation, phi).valid:
             continue
-        sig = collect_signature([base, explanation, phi.literals])
-        has_var_rule = any(
-            isinstance(st.formula, Rule) and st.formula.variables()
-            for bb in (base, explanation)
-            for st in bb.statements
-        )
-        if has_var_rule and not sig.constants:
+        try:
+            ctx = _UnionContext(base, explanation, phi, cap)
+        except (CapExceeded, EmptyUniverse):
             continue
-        total = _union_ground_size(base, explanation, phi)
-        if total > cap or len(union_elements(base, explanation)) > 9:
+        if len(ctx.elements) > 9:
             continue
         return base, explanation, phi
     raise GenerationFailed(f"no instance within {_MAX_ATTEMPTS} attempts for seed {params.seed}")
@@ -322,15 +323,6 @@ def random_instance(params: GeneratorParams,
 def _all_constants(constants: list[str]) -> list[Literal]:
     # anchor every generator constant into the signature via throwaway literals
     return [Literal(Atom("anchor", (Term(c),))) for c in constants]
-
-
-def _union_ground_size(base: BeliefBase, explanation: BeliefBase, phi: Explanandum) -> int:
-    sig = collect_signature([base, explanation, phi.literals])
-    seen: set[str] = set()
-    for el in union_elements(base, explanation):
-        for gf in ground_formula(el.formula, sig):
-            seen.add(str(gf))
-    return len(seen)
 
 
 def _pick_explanandum(rng: random.Random, base: BeliefBase,
@@ -487,8 +479,7 @@ def check_propositions(params: GeneratorParams, trials: int,
         if strategy.kind == SEEDED_RANDOM:
             strategy = SelectionStrategy(SEEDED_RANDOM, seed=seed)
         result = revise(base, explanation, phi, strategy, cap)
-        union_consistent = is_consistent(result.union_before.formulas)
-        if not union_consistent:
+        if not result.union_consistent:
             inconsistent_unions += 1
         report = check_postulates(base, explanation, phi, result, cap, strategy=strategy)
         for name in report.failing:
@@ -496,7 +487,7 @@ def check_propositions(params: GeneratorParams, trials: int,
 
         # proposition structure: vacuity forces consistency + strong
         # acceptance; strong acceptance forces both acceptance variants
-        if union_consistent:
+        if result.union_consistent:
             if not (report.holds("consistency") and report.holds("strong-acceptance")):
                 failures.append(SuiteFailure(
                     "vacuity-implication", seed, _witness(base, explanation, phi, result)))

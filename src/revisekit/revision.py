@@ -23,7 +23,6 @@ from .logic import (
     DEFAULT_CAP,
     BeliefBase,
     Formula,
-    GroundBeliefBase,
     GroundFormula,
     Literal,
     Signature,
@@ -170,7 +169,6 @@ class CorrectionSet:
     """A subset of the union whose removal restores consistency."""
 
     elements: tuple[UnionElement, ...]
-    preserves_explanandum: bool | None = None
 
     def canonical_forms(self) -> frozenset[str]:
         return frozenset(el.canonical() for el in self.elements)
@@ -192,7 +190,9 @@ EMPTY_CORRECTION = CorrectionSet(())
 
 
 class _UnionContext:
-    """Grounds a union once and memoizes subset consistency/entailment checks."""
+    """Grounds and sizes a union once for every operator, and memoizes
+    subset consistency/entailment checks.  The ground size capped is the sum
+    of every element's ground instances, duplicates included."""
 
     def __init__(self, base: BeliefBase, explanation: BeliefBase,
                  phi: Explanandum | None, cap: int):
@@ -210,19 +210,6 @@ class _UnionContext:
         self._consistency: dict[frozenset[int], bool] = {}
         self._entailment: dict[frozenset[int], bool] = {}
         self.phi = phi
-
-    def ground_base(self) -> GroundBeliefBase:
-        formulas: list[GroundFormula] = []
-        origin: dict[GroundFormula, UnionElement] = {}
-        seen: set[str] = set()
-        for i, el in enumerate(self.elements):
-            for gf in self.ground_of[i]:
-                if str(gf) in seen:
-                    continue
-                seen.add(str(gf))
-                formulas.append(gf)
-                origin[gf] = el
-        return GroundBeliefBase(tuple(formulas), origin)
 
     def _formulas(self, indices: frozenset[int]) -> list[GroundFormula]:
         return [gf for i in sorted(indices) for gf in self.ground_of[i]]
@@ -256,9 +243,16 @@ class _UnionContext:
                 if self.consistent(remainder):
                     yield frozenset(combo)
 
-    def correction_set(self, indices: frozenset[int],
-                       preserves: bool | None = None) -> CorrectionSet:
-        return CorrectionSet(tuple(self.elements[i] for i in sorted(indices)), preserves)
+    def admissible(self) -> Iterator[CorrectionSet]:
+        """The correction sets whose removal keeps the explanandum entailed,
+        in the canonical order of `kernel_indices`."""
+        everything = frozenset(range(len(self.elements)))
+        for indices in self.kernel_indices():
+            if self.entails_phi(everything - indices):
+                yield self.correction_set(indices)
+
+    def correction_set(self, indices: frozenset[int]) -> CorrectionSet:
+        return CorrectionSet(tuple(self.elements[i] for i in sorted(indices)))
 
 
 def correction_kernel(base: BeliefBase, explanation: BeliefBase,
@@ -281,11 +275,7 @@ def admissible_selections(base: BeliefBase, explanation: BeliefBase,
     everything asserted only by the prior base leaves the explanation itself,
     which is consistent and entails the explanandum.
     """
-    ctx = _UnionContext(base, explanation, phi, cap)
-    everything = frozenset(range(len(ctx.elements)))
-    for indices in ctx.kernel_indices():
-        if ctx.entails_phi(everything - indices):
-            yield ctx.correction_set(indices, preserves=True)
+    yield from _UnionContext(base, explanation, phi, cap).admissible()
 
 
 MIN_CARDINALITY = "min-cardinality"
@@ -372,7 +362,7 @@ class RevisionResult:
 
     revised: BeliefBase
     retracted: CorrectionSet
-    union_before: GroundBeliefBase
+    union_consistent: bool
     strategy: str
     seed: int | None = None
     explanandum: Explanandum | None = None
@@ -390,7 +380,8 @@ class RevisionResult:
         return out
 
 
-def _merge_labels(elements: Sequence[UnionElement]) -> BeliefBase:
+def base_from_elements(elements: Sequence[UnionElement]) -> BeliefBase:
+    """Rebuild a labeled base from union elements, preferring prior-base labels."""
     taken: set[str] = set()
     statements = []
     for el in elements:
@@ -409,11 +400,6 @@ def _merge_labels(elements: Sequence[UnionElement]) -> BeliefBase:
     return BeliefBase(statements)
 
 
-def base_from_elements(elements: Sequence[UnionElement]) -> BeliefBase:
-    """Rebuild a labeled base from union elements, preferring prior-base labels."""
-    return _merge_labels(elements)
-
-
 def revise(base: BeliefBase, explanation: BeliefBase, phi: Explanandum,
            strategy: SelectionStrategy, cap: int = DEFAULT_CAP) -> RevisionResult:
     """Union the base with the explanation, then retract a selected admissible
@@ -427,35 +413,22 @@ def revise(base: BeliefBase, explanation: BeliefBase, phi: Explanandum,
         raise InvalidExplanation(report)
 
     ctx = _UnionContext(base, explanation, phi, cap)
-    union_before = ctx.ground_base()
-    everything = frozenset(range(len(ctx.elements)))
-
-    if ctx.consistent(everything):
+    if ctx.consistent(frozenset(range(len(ctx.elements)))):
         revised = base_from_elements(ctx.elements)
-        return RevisionResult(revised, EMPTY_CORRECTION, union_before,
+        return RevisionResult(revised, EMPTY_CORRECTION, True,
                               strategy.kind, strategy.seed, phi, True)
 
     if strategy.kind == MIN_CARDINALITY:
         # The stream is ordered by cardinality then canonical form, so the
         # first admissible set is the selection.
-        selected = next(
-            (ctx.correction_set(indices, preserves=True)
-             for indices in ctx.kernel_indices()
-             if ctx.entails_phi(everything - indices)),
-            None,
-        )
+        selected = next(ctx.admissible(), None)
         if selected is None:
             raise NoCandidates("no admissible correction sets")
     else:
-        candidates = [
-            ctx.correction_set(indices, preserves=True)
-            for indices in ctx.kernel_indices()
-            if ctx.entails_phi(everything - indices)
-        ]
-        selected = select(candidates, strategy)
+        selected = select(list(ctx.admissible()), strategy)
 
     removed = selected.canonical_forms()
     kept = [el for el in ctx.elements if el.canonical() not in removed]
     revised = base_from_elements(kept)
-    return RevisionResult(revised, selected, union_before,
+    return RevisionResult(revised, selected, False,
                           strategy.kind, strategy.seed, phi, True)

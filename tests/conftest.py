@@ -9,9 +9,9 @@ import pytest
 from revisekit import (
     BeliefBase,
     Explanandum,
-    GroundRuleInstance,
     Literal,
     Atom,
+    Rule,
     Term,
     parse_base,
     parse_literals,
@@ -79,7 +79,7 @@ def baseline_explanation() -> BeliefBase:
 
 
 def random_ground_formulas(rng: random.Random, n_atoms: int, n_formulas: int):
-    """Ground literals and ground rule instances over a small atom pool."""
+    """Ground literals and variable-free rules over a small atom pool."""
     atoms = [Atom(f"a{i}", (Term(f"c{i % 2 + 1}"),)) for i in range(n_atoms)]
     formulas = []
     for _ in range(n_formulas):
@@ -91,5 +91,5 @@ def random_ground_formulas(rng: random.Random, n_atoms: int, n_formulas: int):
                 for _ in range(rng.randint(1, 2))
             )
             head = Literal(rng.choice(atoms), rng.random() < 0.4)
-            formulas.append(GroundRuleInstance(body, head))
+            formulas.append(Rule(body, head))
     return atoms, formulas

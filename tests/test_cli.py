@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -223,3 +227,19 @@ class TestSuite:
     def test_falappa_informational(self, capsys):
         assert cli.main(["suite", "--trials=10", "--operator=falappa"]) == 0
         assert "informational" in capsys.readouterr().out
+
+
+def test_json_output_independent_of_hash_seed():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    commands = (["corpus", "--format=json"], ["suite", "--trials=50", "--format=json"])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        outputs.append([
+            subprocess.run([sys.executable, "-m", "revisekit.cli", *args], env=env,
+                           capture_output=True, check=True).stdout
+            for args in commands
+        ])
+    assert all(outputs[0])
+    assert outputs[0] == outputs[1]

@@ -166,12 +166,19 @@ class TestReviseFalappa:
         assert not result.retracted.elements
 
     def test_random_instances_consistent_and_hitting(self):
+        union_states = set()
         for trial in range(40):
-            b, e, _ = random_instance(GeneratorParams(seed=6200 + trial))
+            b, e, phi = random_instance(GeneratorParams(seed=6200 + trial))
             result = revise_falappa(b, e, IncisionPolicy("min-hitting-set"))
             sig = collect_signature([b, e])
             assert is_consistent(ground(result.revised, sig).formulas)
+            union_sig = collect_signature([b, e, phi.literals])
+            union_ground = [gf for el in union_elements(b, e)
+                            for gf in ground_formula(el.formula, union_sig)]
+            assert result.union_consistent == is_consistent(union_ground)
+            union_states.add(result.union_consistent)
             ks = kernel_set(b, e)
             retracted = result.retracted.canonical_forms()
             for kernel_forms in ks.canonical_forms():
                 assert retracted & kernel_forms
+        assert union_states == {True, False}

@@ -9,7 +9,6 @@ from revisekit import (
     BeliefBase,
     CapExceeded,
     EmptyUniverse,
-    GroundRuleInstance,
     InconsistentBase,
     Literal,
     Rule,
@@ -103,12 +102,6 @@ class TestGround:
         with pytest.raises(EmptyUniverse):
             ground(base, collect_signature([base]))
 
-    def test_origin_map(self, alice_base):
-        gb = ground(alice_base, collect_signature([alice_base]))
-        rule_stmt = alice_base.rules[0]
-        instance_sources = [gb.origin[f] for f in gb.formulas if "->" in str(f)]
-        assert all(src is rule_stmt for src in instance_sources)
-
 
 class TestConsistency:
     def test_conflicting_chain(self):
@@ -126,7 +119,7 @@ class TestConsistency:
         # a recursive search overflows the stack on this input, and one whose
         # branch scan restarts at the first clause takes seconds
         n = 5000
-        rules = [GroundRuleInstance((Literal(Atom(f"a{i}")),), Literal(Atom(f"b{i}")))
+        rules = [Rule((Literal(Atom(f"a{i}")),), Literal(Atom(f"b{i}")))
                  for i in range(n)]
         start = time.perf_counter()
         assert is_consistent(rules)

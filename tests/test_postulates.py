@@ -142,6 +142,15 @@ class TestCheckPropositions:
         assert report.ok  # baseline violations never fail the suite
         assert any(f.postulate == "strong-acceptance" for f in report.baseline_violations)
 
+    def test_generator_uses_operator_ground_count(self):
+        # At this seed the union has 12 distinct ground formulas but 13
+        # per-element instances, the count the operator caps; the generator
+        # must skip it instead of handing the operator a union it rejects.
+        params = GeneratorParams(constant_count=3, rule_count=3, seed=420)
+        report = check_propositions(params, 1, cap=12)
+        assert report.trials == 1
+        assert report.ok
+
     def test_report_serializes(self):
         report = check_propositions(GeneratorParams(seed=3), trials=10)
         payload = report.as_dict()

@@ -23,6 +23,7 @@ from revisekit import (
     union_elements,
     validate_explanation,
 )
+from revisekit.logic import ground_formula
 from revisekit.postulates import GeneratorParams, random_instance
 
 RULE = "Wor(charlie) -> Ins(charlie)"
@@ -318,16 +319,22 @@ class TestRevise:
                       SelectionStrategy("max-cardinality"),
                       SelectionStrategy("protect-explanation"),
                       SelectionStrategy("seeded-random", seed=1)]
+        union_states = set()
         for trial in range(60):
             b, e, phi = random_instance(GeneratorParams(seed=7000 + trial))
             strategy = strategies[trial % len(strategies)]
             result = revise(b, e, phi, strategy)
-            union_forms = {el.canonical() for el in union_elements(b, e)}
+            union = union_elements(b, e)
+            union_forms = {el.canonical() for el in union}
             assert result.revised.canonical_forms() <= union_forms  # inclusion
             sig = collect_signature([b, e, phi.literals])
             g = ground(result.revised, sig)
             assert is_consistent(g.formulas)
             assert entails(g.formulas, phi.literals)  # strong acceptance
+            union_ground = [gf for el in union for gf in ground_formula(el.formula, sig)]
+            assert result.union_consistent == is_consistent(union_ground)
+            union_states.add(result.union_consistent)
+        assert union_states == {True, False}
 
     def test_deterministic(self, charlie_base, charlie_explanation, charlie_phi):
         runs = [revise(charlie_base, charlie_explanation, charlie_phi,
