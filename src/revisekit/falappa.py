@@ -68,17 +68,29 @@ def kernel_set(base: BeliefBase, explanation: BeliefBase,
 
     Candidates grow by cardinality with memoized consistency checks; a subset
     found inconsistent at size k is minimal exactly when it contains no smaller
-    kernel, which the supersets-pruning guarantees.
+    kernel, which the supersets-pruning guarantees.  A subset found consistent
+    is grown to a maximal consistent superset (adding each index in ascending
+    order while consistency holds), and later subsets of a grown set are
+    skipped, so SAT work follows the kernels and the maximal consistent
+    subsets rather than the number of subsets.
     """
     ctx = _UnionContext(base, explanation, None, cap)
     n = len(ctx.elements)
     found: list[frozenset[int]] = []
+    grown: list[frozenset[int]] = []
     for size in range(1, n + 1):
         for combo in combinations(range(n), size):
             indices = frozenset(combo)
-            if any(kernel <= indices for kernel in found):
+            if found and any(kernel <= indices for kernel in found):
                 continue
-            if not ctx.consistent(indices):
+            if grown and any(indices <= consistent for consistent in grown):
+                continue
+            if ctx.consistent(indices):
+                for i in range(n):
+                    if i not in indices and ctx.consistent(indices | {i}):
+                        indices |= {i}
+                grown.append(indices)
+            else:
                 found.append(indices)
     kernels = tuple(
         tuple(ctx.elements[i] for i in sorted(indices))

@@ -232,24 +232,55 @@ class _UnionContext:
     def kernel_indices(self) -> Iterator[frozenset[int]]:
         """Nonempty-remainder subsets whose removal restores consistency, by
         cardinality then lexicographic on canonical forms.  Empty when the
-        union is already consistent."""
+        union is already consistent.
+
+        Consistency is inherited by subsets of the remainder, so every
+        superset of a correction set is one too.  Visiting by cardinality
+        makes each set that needs a SAT call and passes a minimal correction
+        set; a later subset containing one of those is yielded without a
+        call, so SAT work follows the minimal correction sets and the
+        remainders that stay inconsistent."""
         n = len(self.elements)
         everything = frozenset(range(n))
         if self.consistent(everything):
             return
+        minimal: list[frozenset[int]] = []
         for size in range(1, n):
             for combo in combinations(range(n), size):
-                remainder = everything - frozenset(combo)
-                if self.consistent(remainder):
-                    yield frozenset(combo)
+                removed = frozenset(combo)
+                if minimal and any(mcs <= removed for mcs in minimal):
+                    yield removed
+                elif self.consistent(everything - removed):
+                    minimal.append(removed)
+                    yield removed
 
     def admissible(self) -> Iterator[CorrectionSet]:
         """The correction sets whose removal keeps the explanandum entailed,
-        in the canonical order of `kernel_indices`."""
+        in the canonical order of `kernel_indices`.
+
+        Entailment is inherited by supersets of the remainder, so most
+        candidates are decided without a SAT call: a candidate containing one
+        whose remainder failed is rejected, and one that leaves the
+        explanation's elements whole is accepted once those elements alone
+        entail the explanandum.  That check runs at most once, and when it
+        fails (an invalid explanation) every candidate is checked itself."""
         everything = frozenset(range(len(self.elements)))
+        explained = frozenset(i for i, el in enumerate(self.elements) if el.from_explanation)
+        explained_entails: bool | None = None
+        failing: list[frozenset[int]] = []
         for indices in self.kernel_indices():
+            if failing and any(failed <= indices for failed in failing):
+                continue
+            if indices.isdisjoint(explained):
+                if explained_entails is None:
+                    explained_entails = self.entails_phi(explained)
+                if explained_entails:
+                    yield self.correction_set(indices)
+                    continue
             if self.entails_phi(everything - indices):
                 yield self.correction_set(indices)
+            else:
+                failing.append(indices)
 
     def correction_set(self, indices: frozenset[int]) -> CorrectionSet:
         return CorrectionSet(tuple(self.elements[i] for i in sorted(indices)))

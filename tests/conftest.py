@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,6 +17,21 @@ from revisekit import (
     parse_base,
     parse_literals,
 )
+
+
+@pytest.fixture
+def sat_calls(monkeypatch) -> Counter:
+    """Counts the SAT calls made through `revision`, which every operator's
+    subset checks go through, by function name."""
+    from revisekit import revision
+
+    calls: Counter = Counter()
+    for name in ("is_consistent", "entails"):
+        def counted(*args, _inner=getattr(revision, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(revision, name, counted)
+    return calls
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -54,11 +54,13 @@ class TestKernelSet:
                 assert is_consistent(rest)
 
     def test_matches_brute_force(self):
-        for trial in range(40):
-            b, e, _ = random_instance(GeneratorParams(seed=4100 + trial))
+        # default instances, then wider ones: unions of six to nine elements,
+        # often with several same-size kernels, which exercise the order
+        wide = dict(predicate_count=4, rule_count=3, fact_probability=0.6)
+        for extra, trial in product(({}, wide), range(40)):
+            b, e, _ = random_instance(GeneratorParams(seed=4100 + trial, **extra))
             elements = union_elements(b, e)
-            if len(elements) > 7:
-                continue
+            assert len(elements) <= 9  # the generator's maximum keeps this cheap
             sig = collect_signature([b, e])
             grounded = {el.canonical(): list(ground_formula(el.formula, sig))
                         for el in elements}
@@ -67,16 +69,26 @@ class TestKernelSet:
                 return not is_consistent(
                     [g for el in subset for g in grounded[el.canonical()]])
 
-            expected = set()
+            expected = []
             for size in range(1, len(elements) + 1):
                 for combo in combinations(elements, size):
                     if not inconsistent(combo):
                         continue
                     if all(not inconsistent(tuple(x for x in combo if x is not el))
                            for el in combo):
-                        expected.add(frozenset(el.canonical() for el in combo))
-            actual = set(kernel_set(b, e).canonical_forms())
+                        expected.append(tuple(el.canonical() for el in combo))
+            actual = [tuple(el.canonical() for el in kernel) for kernel in kernel_set(b, e)]
             assert actual == expected
+
+    def test_grow_step_bounds_consistency_calls(self, sat_calls):
+        # one four-formula conflict among six unrelated facts (n = 10): the
+        # whole enumeration would make 2^10 - 64 calls
+        b = parse_base("P(a). R(a). P(X) & R(X) -> Q(X). "
+                       "U1(a). U2(a). U3(a). !U4(a). U5(a). U6(a).")
+        ks = kernel_set(b, parse_base("!Q(a)."))
+        assert ks.canonical_forms() == (frozenset({
+            "!Q(a)", "P(X) & R(X) -> Q(X)", "P(a)", "R(a)"}),)
+        assert sat_calls["is_consistent"] < 100
 
 
 class TestIncise:

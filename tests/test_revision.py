@@ -122,30 +122,10 @@ class TestCorrectionKernel:
         assert shared[0].sources == (("B", "f1"), ("E", "f1"))
 
     def test_matches_brute_force(self):
-        rng = random.Random(99)
-        for trial in range(60):
-            b, e, _ = random_instance(GeneratorParams(seed=900 + trial))
-            elements = union_elements(b, e)
-            if len(elements) > 7:
-                continue
-            sig = collect_signature([b, e])
-            grounded = {
-                el.canonical(): [g for g in _ground_one(el.formula, sig)]
-                for el in elements
-            }
-            union_ground = [g for gs in grounded.values() for g in gs]
-            expected = set()
-            if not is_consistent(union_ground):
-                for size in range(1, len(elements)):
-                    for combo in combinations(elements, size):
-                        removed = {el.canonical() for el in combo}
-                        remainder = [
-                            g for el in elements if el.canonical() not in removed
-                            for g in grounded[el.canonical()]
-                        ]
-                        if is_consistent(remainder):
-                            expected.add(frozenset(removed))
-            actual = {forms(cs) for cs in correction_kernel(b, e)}
+        for params in _brute_force_params(900, 60):
+            b, e, _ = random_instance(params)
+            expected = _brute_force_stream(b, e, [b, e], lambda remainder: True)
+            actual = [_names(cs) for cs in correction_kernel(b, e)]
             assert actual == expected
 
     def test_cap(self, charlie_base, charlie_explanation):
@@ -156,6 +136,46 @@ class TestCorrectionKernel:
 def _ground_one(formula, sig):
     from revisekit.logic import ground_formula
     return ground_formula(formula, sig)
+
+
+def _brute_force_params(first_seed: int, trials: int):
+    """Default generator instances, then wider ones (unions of six to nine
+    elements, often several same-size kernels) that exercise the order."""
+    for trial in range(trials):
+        yield GeneratorParams(seed=first_seed + trial)
+    for trial in range(trials):
+        yield GeneratorParams(predicate_count=4, rule_count=3, fact_probability=0.6,
+                              seed=first_seed + trial)
+
+
+def _names(correction_set) -> tuple[str, ...]:
+    return tuple(el.canonical() for el in correction_set)
+
+
+def _brute_force_stream(b, e, sig_parts, keep):
+    """Every subset of the union with a nonempty, consistent remainder that
+    `keep` accepts, one SAT call per subset, in canonical order (cardinality,
+    then lexicographic on canonical forms); empty for a consistent union."""
+    elements = union_elements(b, e)
+    assert len(elements) <= 9  # the generator's maximum keeps this cheap
+    sig = collect_signature(sig_parts)
+    grounded = {el.canonical(): list(_ground_one(el.formula, sig)) for el in elements}
+    if is_consistent([g for gs in grounded.values() for g in gs]):
+        return []
+    expected = []
+    for size in range(1, len(elements)):
+        for combo in combinations(elements, size):
+            removed = {el.canonical() for el in combo}
+            remainder = [g for el in elements if el.canonical() not in removed
+                         for g in grounded[el.canonical()]]
+            if is_consistent(remainder) and keep(remainder):
+                expected.append(tuple(el.canonical() for el in combo))
+    return expected
+
+
+def _brute_force_admissible(b, e, phi):
+    return _brute_force_stream(b, e, [b, e, phi.literals],
+                               lambda remainder: entails(remainder, phi.literals))
 
 
 class TestAdmissibleSelections:
@@ -191,6 +211,47 @@ class TestAdmissibleSelections:
             found_conflicts += 1
             assert next(admissible_selections(b, e, phi), None) is not None
         assert found_conflicts >= 10
+
+    def test_matches_brute_force(self):
+        conflicts = 0
+        for params in _brute_force_params(2600, 60):
+            b, e, phi = random_instance(params)
+            expected = _brute_force_admissible(b, e, phi)
+            conflicts += bool(expected)
+            actual = [_names(cs) for cs in admissible_selections(b, e, phi)]
+            assert actual == expected
+        assert conflicts >= 20
+
+    def test_explanation_not_entailing_falls_back(self):
+        # `r` alone does not entail `q`, so candidates that keep `r` must
+        # still be checked one by one.
+        b, e, phi = parse_base("p. p -> q. !r."), parse_base("r."), phi_of("q")
+        expected = _brute_force_admissible(b, e, phi)
+        assert ("!r", "p") not in expected
+        assert [_names(cs) for cs in admissible_selections(b, e, phi)] == expected
+
+
+PRUNING_BASE = ("P(a). R(a). P(X) & R(X) -> Q(X). "
+                "U1(a). U2(a). U3(a). !U4(a). U5(a). U6(a).")
+
+
+class TestMonotonePruning:
+    """One four-formula conflict among six unrelated facts (n = 10): the
+    enumeration visits 2^10 subsets, but monotonicity decides most of them
+    without a SAT call."""
+
+    def test_correction_kernel_consistency_calls(self, sat_calls):
+        sets = list(correction_kernel(parse_base(PRUNING_BASE), parse_base("!Q(a).")))
+        assert len(sets) == 959
+        # the whole union, ten singletons, and the subsets of the six facts
+        assert sat_calls["is_consistent"] <= 2 ** 6 + 4 + 1
+
+    def test_max_cardinality_entailment_calls(self, sat_calls):
+        result = revise(parse_base(PRUNING_BASE), parse_base("!Q(a)."), phi_of("!Q(a)"),
+                        SelectionStrategy("max-cardinality"))
+        assert result.revised.canonical_forms() == {"!Q(a)"}
+        # validate_explanation's two, the explanation alone, and `!Q(a)` removed
+        assert sat_calls["entails"] <= 4
 
 
 class TestSelect:
