@@ -169,6 +169,9 @@ def _guided_strategy(args: argparse.Namespace) -> SelectionStrategy:
     if kind not in GUIDED_STRATEGIES:
         raise ValueError(f"unknown guided strategy {kind!r}")
     weights = json.loads(args.weights) if args.weights else None
+    if weights and not (isinstance(weights, dict) and all(
+            isinstance(w, (int, float)) for w in weights.values())):
+        raise ValueError("--weights must be a JSON object mapping formulas to numbers")
     return SelectionStrategy.named(kind, seed=args.seed, weights=weights)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, InvalidExplanation, NoCandidates
@@ -27,6 +27,8 @@ from .logic import (
     Literal,
     Signature,
     Statement,
+    _atom_index,
+    _solve,
     collect_signature,
     entails,
     ground,
@@ -282,6 +284,49 @@ class _UnionContext:
             else:
                 failing.append(indices)
 
+    def largest_admissible(self) -> list[CorrectionSet]:
+        """The max-cardinality selection as a pool of at most one set: removals
+        by size from n - 1 down, canonical within a size, up to the first
+        admissible.  No SAT call is made for a remainder lacking an explanandum
+        atom (a consistent one cannot entail it) or holding one inconsistent."""
+        n = len(self.elements)
+        everything = frozenset(range(n))
+        mentioning = [{i for i, g in self.ground_of.items() if lit.atom in _atom_index([g])}
+                      for lit in self.phi.literals]
+        inconsistent: list[frozenset[int]] = []
+        for size in range(n - 1, 0, -1):
+            for combo in combinations(range(n), size):
+                remainder = everything.difference(combo)
+                if (not all(remainder & m for m in mentioning)
+                        or any(bad <= remainder for bad in inconsistent)):
+                    continue
+                if not self.consistent(remainder):
+                    inconsistent.append(remainder)
+                elif self.entails_phi(remainder):
+                    return [self.correction_set(frozenset(combo))]
+        return []
+
+    def msses_and_muses(self) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
+        """Every maximal consistent and minimal unsatisfiable subset of the
+        union, by MARCO (Liffiton, Previti, Malik & Marques-Silva, 2016).  Each
+        model of the map (one variable per element, kept unless false) is a
+        seed; a consistent one grows to an MSS and its subsets get blocked,
+        an inconsistent one shrinks to a MUS and its supersets get blocked."""
+        n = len(self.elements)
+        blocking: list[list[int]] = []
+        msses: list[frozenset[int]] = []
+        muses: list[frozenset[int]] = []
+        while (model := _solve(blocking)) is not None:
+            seed = frozenset(i for i in range(n) if -(i + 1) not in model)
+            ok = self.consistent(seed)
+            # grow adds, shrink drops, ascending; the block names that side: MSS outside, MUS inside
+            for i in range(n):
+                if (i in seed) != ok and self.consistent(seed ^ {i}) == ok:
+                    seed ^= {i}
+            (msses if ok else muses).append(seed)
+            blocking.append([i + 1 if ok else -(i + 1) for i in range(n) if (i in seed) != ok])
+        return msses, muses
+
     def correction_set(self, indices: frozenset[int]) -> CorrectionSet:
         return CorrectionSet(tuple(self.elements[i] for i in sorted(indices)))
 
@@ -436,6 +481,11 @@ def revise(base: BeliefBase, explanation: BeliefBase, phi: Explanandum,
     """Union the base with the explanation, then retract a selected admissible
     correction set.  A consistent union is returned unchanged (vacuity).
 
+    Only seeded-random, interactive and weighted with a union formula weighing
+    below zero or NaN list every admissible set.  min-cardinality and
+    protect-explanation read the stream up to their pick, max-cardinality
+    searches by size, and weighted compares minimal correction sets.
+
     Raises InvalidExplanation (with the report attached) when the explanation
     fails validation, and CapExceeded when the ground union is too large.
     """
@@ -455,6 +505,21 @@ def revise(base: BeliefBase, explanation: BeliefBase, phi: Explanandum,
         selected = next(ctx.admissible(), None)
         if selected is None:
             raise NoCandidates("no admissible correction sets")
+    elif strategy.kind == MAX_CARDINALITY:
+        selected = select(ctx.largest_admissible(), strategy)
+    elif strategy.kind == PROTECT_EXPLANATION:
+        # `select` needs only the stream's first set and its first sparing the explanation
+        stream = ctx.admissible()
+        first = list(islice(stream, 1))
+        spared = (cs for cs in chain(first, stream) if not any(el.from_explanation for el in cs))
+        selected = select(first + list(islice(spared, 1)), strategy)
+    elif strategy.kind == WEIGHTED and all(
+            strategy.weight_of(el.canonical()) >= 0 for el in ctx.elements):
+        # An admissible set holds an admissible minimal correction set (an MSS's
+        # complement), which with no formula weighing below zero or NaN sorts first.
+        everything = frozenset(range(len(ctx.elements)))
+        selected = select([ctx.correction_set(everything - kept) for kept in ctx.msses_and_muses()[0]
+                           if kept and ctx.entails_phi(kept)], strategy)
     else:
         selected = select(list(ctx.admissible()), strategy)
 

@@ -116,6 +116,23 @@ class TestRevise:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize("weights", ['{"Wor(charlie)": "x"}', "[1,2]"])
+    def test_malformed_weights_exit_1(self, base_file, expl_file, weights):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "revisekit.cli", "revise", str(base_file), str(expl_file),
+             "!Ins(charlie)", "--strategy=weighted", f"--weights={weights}"],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+        assert run.returncode == 1
+        assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
+
+    @pytest.mark.parametrize("weights", ['{"Wor(charlie)": NaN}', '{"Wor(charlie)": -1}', "{}"])
+    def test_nan_negative_and_empty_weights_accepted(self, base_file, expl_file, capsys, weights):
+        assert cli.main(["revise", str(base_file), str(expl_file), "!Ins(charlie)",
+                         "--strategy=weighted", f"--weights={weights}"]) == 0
+        assert "retracted:" in capsys.readouterr().out
+
     def test_interactive(self, base_file, expl_file, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("2\n"))
         code = cli.main(["revise", str(base_file), str(expl_file), "!Ins(charlie)",

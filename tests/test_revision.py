@@ -14,8 +14,10 @@ from revisekit import (
     collect_signature,
     correction_kernel,
     entails,
+    enumerate_models,
     ground,
     is_consistent,
+    kernel_set,
     parse_base,
     parse_literals,
     revise,
@@ -24,6 +26,7 @@ from revisekit import (
     validate_explanation,
 )
 from revisekit.logic import ground_formula
+from revisekit.revision import _UnionContext
 from revisekit.postulates import GeneratorParams, random_instance
 
 RULE = "Wor(charlie) -> Ins(charlie)"
@@ -252,6 +255,116 @@ class TestMonotonePruning:
         assert result.revised.canonical_forms() == {"!Q(a)"}
         # validate_explanation's two, the explanation alone, and `!Q(a)` removed
         assert sat_calls["entails"] <= 4
+
+    @pytest.mark.parametrize("kind, consistency, entailment", [
+        ("max-cardinality", 8, None),
+        ("weighted", 20, 8),
+        ("protect-explanation", 8, None),
+    ])
+    def test_direct_selection_sat_calls(self, sat_calls, kind, consistency, entailment):
+        # listing every admissible set made 69 consistency calls here
+        revise(parse_base(PRUNING_BASE), parse_base("!Q(a)."), phi_of("!Q(a)"),
+               SelectionStrategy(kind))
+        assert sat_calls["is_consistent"] <= consistency
+        if entailment is not None:
+            assert sat_calls["entails"] <= entailment
+
+
+def _brute_force_msses(b, e):
+    """The maximal sets of union elements that one interpretation of the
+    truth-table oracle satisfies: exactly the maximal consistent subsets."""
+    elements = union_elements(b, e)
+    sig = collect_signature([b, e])
+    grounded = [_ground_one(el.formula, sig) for el in elements]
+    satisfied = {
+        frozenset(el.canonical() for el, gfs in zip(elements, grounded)
+                  if all(model.satisfies(gf) for gf in gfs))
+        for model in enumerate_models([], sig)
+    }
+    return {s for s in satisfied if not any(s < other for other in satisfied)}
+
+
+class TestMssesAndMuses:
+    def _forms(self, ctx, sets):
+        return [frozenset(ctx.elements[i].canonical() for i in s) for s in sets]
+
+    def test_matches_brute_force_and_kernel_set(self):
+        unions = set()
+        for params in _brute_force_params(5300, 40):
+            b, e, _ = random_instance(params)
+            ctx = _UnionContext(b, e, None, 24)
+            msses, muses = ctx.msses_and_muses()
+            assert len(set(msses)) == len(msses)
+            assert set(self._forms(ctx, msses)) == _brute_force_msses(b, e)
+            ordered = sorted(muses, key=lambda s: (len(s), sorted(s)))
+            assert self._forms(ctx, ordered) == list(kernel_set(b, e).canonical_forms())
+            unions.add(bool(muses))
+        assert unions == {True, False}
+
+    def test_consistent_union_is_its_only_mss(self):
+        b, e = parse_base("Wor(charlie)."), parse_base("Ins(charlie).")
+        ctx = _UnionContext(b, e, None, 24)
+        msses, muses = ctx.msses_and_muses()
+        assert self._forms(ctx, msses) == [frozenset({"Ins(charlie)", "Wor(charlie)"})]
+        assert muses == []
+
+
+DIRECT_KINDS = ("max-cardinality", "protect-explanation", "weighted")
+
+
+class TestDirectSelection:
+    """max-cardinality, protect-explanation and non-negative weighted select
+    without listing the admissible sets; each must equal `select` over the
+    full list."""
+
+    def test_matches_full_list(self):
+        conflicts = zero_weights = 0
+        for params in _brute_force_params(4100, 60):
+            b, e, phi = random_instance(params)
+            rng = random.Random(params.seed)
+            weights = {el.canonical(): rng.choice((0.0, 0.5, 1.0, 2.5))
+                       for el in union_elements(b, e) if rng.random() < 0.8}
+            strategies = [SelectionStrategy.named(kind, weights=weights) for kind in DIRECT_KINDS]
+            pool = list(admissible_selections(b, e, phi))
+            if not pool:  # a consistent union: nothing is retracted
+                assert all(not revise(b, e, phi, s).retracted for s in strategies)
+                continue
+            conflicts += 1
+            zero_weights += 0.0 in weights.values()
+            for strategy in strategies:
+                assert revise(b, e, phi, strategy).retracted == select(pool, strategy)
+        assert conflicts >= 20
+        assert zero_weights >= 10
+
+    def test_max_cardinality_past_inconsistent_remainders(self):
+        # `{u, !u, s -> z}` is found inconsistent before the only admissible
+        # remainder, the explanation, which shares `u` with it
+        b, e, phi = parse_base("!u. s -> z."), parse_base("u. v. w. u & v & w -> s."), phi_of("s")
+        strategy = SelectionStrategy("max-cardinality")
+        result = revise(b, e, phi, strategy)
+        assert result.retracted == select(list(admissible_selections(b, e, phi)), strategy)
+        assert forms(result.retracted) == {"!u", "s -> z"}
+
+    def test_weights_off_the_union_are_not_read(self, charlie_base, charlie_explanation,
+                                                charlie_phi):
+        strategy = SelectionStrategy.named("weighted", weights={"Zzz(a)": "x", "Yyy(a)": -1.0})
+        result = revise(charlie_base, charlie_explanation, charlie_phi, strategy)
+        pool = list(admissible_selections(charlie_base, charlie_explanation, charlie_phi))
+        assert result.retracted == select(pool, strategy)
+
+    @pytest.mark.parametrize("weights", [{"Wor(charlie)": -1.0, RULE: -1.0},
+                                         {"Wor(charlie)": float("nan")}], ids=["negative", "nan"])
+    def test_negative_or_nan_weight_lists_every_set(self, monkeypatch, weights, charlie_base,
+                                                    charlie_explanation, charlie_phi):
+        def unused(self):
+            raise AssertionError("only non-negative weights may skip the full list")
+        monkeypatch.setattr(_UnionContext, "msses_and_muses", unused)
+        strategy = SelectionStrategy.named("weighted", weights=weights)
+        result = revise(charlie_base, charlie_explanation, charlie_phi, strategy)
+        pool = list(admissible_selections(charlie_base, charlie_explanation, charlie_phi))
+        assert result.retracted == select(pool, strategy)
+        if RULE in weights:  # both negative: the optimum is no minimal correction set
+            assert forms(result.retracted) == {"Wor(charlie)", RULE}
 
 
 class TestSelect:
