@@ -9,9 +9,14 @@ classically on the resulting ground formulas.
 Two engines are kept deliberately independent:
 
   * `is_consistent` / `entails` / `consequences` clausify the ground
-    formulas and run one complete iterative search (`_solve`: unit
-    propagation over occurrence lists, an explicit trail and chronological
-    backtracking), so input size is bounded by memory, not recursion depth;
+    formulas and decide them with a `_Solver`.  It builds the occurrence
+    lists once per clause set and propagates the unit clauses once, at the
+    root; each query is then a complete iterative search under a list of
+    assumption literals (unit propagation, an explicit trail and
+    chronological backtracking), so input size is bounded by memory, not
+    recursion depth.  `is_consistent` and `entails` ask one query
+    (`_solve`); `consequences` asks one solver for every backbone
+    candidate, with the candidate's complement as the assumption;
   * `enumerate_models` evaluates the formulas semantically over every
     interpretation of the Herbrand base, and serves as the brute-force oracle
     the first engine is tested against.
@@ -374,85 +379,130 @@ def _clausify(formulas: Iterable[GroundFormula], index: Mapping[Atom, int]) -> l
     return clauses
 
 
-def _solve(clauses: list[list[int]]) -> set[int] | None:
-    """The literals of one satisfying partial assignment, or None if unsatisfiable.
+def _propagate(occurs: Mapping[int, list[list[int]]], true: set[int],
+               trail: list[int], head: int) -> bool:
+    """Unit-propagate the literals from trail[head:] on; True on a conflict."""
+    while head < len(trail):
+        for clause in occurs.get(trail[head], ()):
+            free = 0
+            for lit in clause:
+                if lit in true:
+                    break
+                if -lit not in true:
+                    free += 1
+                    unit = lit
+            else:
+                if free == 0:
+                    return True
+                if free == 1:
+                    true.add(unit)
+                    trail.append(unit)
+        head += 1
+    return False
 
-    Iterative DPLL: unit propagation over occurrence lists, an explicit trail,
-    and chronological backtracking that flips the most recent unflipped
-    decision.  Every clause is satisfied by the returned literals, so any
-    variable they leave out can take either value.
+
+class _Solver:
+    """One clause set, decided many times under different assumptions.
+
+    The occurrence lists are built once, and the unit clauses are put on the
+    trail and propagated once, at the root.  Each `solve` undoes the previous
+    query back to the root, so no query sees another's assumptions.
     """
-    occurs: dict[int, list[list[int]]] = {}  # literal -> clauses it falsifies when true
-    true: set[int] = set()
-    trail: list[int] = []
-    for clause in clauses:
-        if not clause:
+
+    __slots__ = ("clauses", "occurs", "true", "trail", "root")
+
+    def __init__(self, clauses: list[list[int]]):
+        self.clauses = clauses
+        occurs: dict[int, list[list[int]]] = {}  # literal -> clauses it falsifies when true
+        true: set[int] = set()
+        trail: list[int] = []
+        self.occurs, self.true, self.trail = occurs, true, trail
+        self.root: int | None = None  # trail length after root propagation; None if unsatisfiable
+        for clause in clauses:
+            if len(clause) == 1:
+                # never indexed: its literal stays true at the root, so no
+                # query can make the complement true and visit it
+                (lit,) = clause
+                if -lit in true:
+                    return
+                if lit not in true:
+                    true.add(lit)
+                    trail.append(lit)
+            elif not clause:
+                return
+            else:
+                for lit in clause:
+                    occurs.setdefault(-lit, []).append(clause)
+        if not _propagate(occurs, true, trail, 0):
+            self.root = len(trail)
+
+    def solve(self, assumptions: Iterable[int] = ()) -> set[int] | None:
+        """The literals of one assignment satisfying every clause and assumption, or None.
+
+        Iterative DPLL: the assumptions are pushed above the root and
+        propagated, then the search branches and backtracks chronologically,
+        flipping the most recent unflipped decision.  Every clause is
+        satisfied by the returned literals, so any variable they leave out
+        can take either value.  The returned set is the solver's own state:
+        it stays valid only until the next `solve` call.
+        """
+        root = self.root
+        if root is None:
             return None
-        for lit in clause:
-            occurs.setdefault(-lit, []).append(clause)
-        if len(clause) == 1:
-            (lit,) = clause
+        clauses, occurs, true, trail = self.clauses, self.occurs, self.true, self.trail
+        if len(trail) > root:
+            for undone in trail[root:]:
+                true.discard(undone)
+            del trail[root:]
+        for lit in assumptions:
             if -lit in true:
                 return None
             if lit not in true:
                 true.add(lit)
                 trail.append(lit)
-    # each decision: (trail length before it, literal, branch scan position, flipped)
-    decisions: list[tuple[int, int, int, bool]] = []
-    head = 0
-    scan = 0
-    while True:
-        conflict = False
-        while head < len(trail) and not conflict:
-            for clause in occurs.get(trail[head], ()):
-                free = 0
-                for lit in clause:
-                    if lit in true:
-                        break
-                    if -lit not in true:
-                        free += 1
-                        unit = lit
-                else:
-                    if free == 0:
-                        conflict = True
-                        break
-                    if free == 1:
-                        true.add(unit)
-                        trail.append(unit)
-            head += 1
-        if conflict:
-            while decisions and decisions[-1][3]:
-                decisions.pop()
-            if not decisions:
-                return None
-            mark, lit, scan, _ = decisions.pop()
-            for undone in trail[mark:]:
-                true.discard(undone)
-            del trail[mark:]
-            head = mark
-            branch = -lit
-            decisions.append((mark, branch, scan, True))
-        else:
-            # Branch on a free literal of the first clause not yet satisfied
-            # (after propagation it has one).  Clauses before `scan` were
-            # satisfied when the last decision was made and stay so until it
-            # is undone, so the scan resumes there.
-            branch = None
-            while scan < len(clauses):
-                for lit in clauses[scan]:
-                    if lit in true:
-                        break
-                    if branch is None and -lit not in true:
-                        branch = lit
-                else:
-                    break
+        # each decision: (trail length before it, literal, branch scan position, flipped)
+        decisions: list[tuple[int, int, int, bool]] = []
+        head = root
+        scan = 0
+        while True:
+            if _propagate(occurs, true, trail, head):
+                while decisions and decisions[-1][3]:
+                    decisions.pop()
+                if not decisions:
+                    return None
+                mark, lit, scan, _ = decisions.pop()
+                for undone in trail[mark:]:
+                    true.discard(undone)
+                del trail[mark:]
+                branch = -lit
+                decisions.append((mark, branch, scan, True))
+            else:
+                # Branch on a free literal of the first clause not yet
+                # satisfied (after propagation it has one).  Clauses before
+                # `scan` were satisfied when the last decision was made and
+                # stay so until it is undone, so the scan resumes there.
                 branch = None
-                scan += 1
-            if branch is None:
-                return true
-            decisions.append((len(trail), branch, scan, False))
-        true.add(branch)
-        trail.append(branch)
+                while scan < len(clauses):
+                    for lit in clauses[scan]:
+                        if lit in true:
+                            break
+                        if branch is None and -lit not in true:
+                            branch = lit
+                    else:
+                        break
+                    branch = None
+                    scan += 1
+                if branch is None:
+                    return true
+                decisions.append((len(trail), branch, scan, False))
+            head = len(trail)
+            true.add(branch)
+            trail.append(branch)
+
+
+def _solve(clauses: list[list[int]]) -> set[int] | None:
+    """The literals of one satisfying partial assignment, or None if unsatisfiable."""
+    return _Solver(clauses).solve()
 
 
 def _atom_index(groups: Iterable[Iterable[GroundFormula]]) -> dict[Atom, int]:
@@ -507,29 +557,36 @@ def consequences(base: BeliefBase, sig: Signature) -> frozenset[Literal]:
     """Every ground literal over the signature's Herbrand base that the base entails.
 
     Computed as the backbone of the ground base: the base is clausified once
-    and one model found; only the literals that model makes true can be
-    entailed.  Each remaining candidate, in canonical atom order, is tested
-    by one search with its complement added: no model means it is entailed,
-    and a model drops every candidate that model does not make true.
+    into one `_Solver`, and one model found; only the literals that model
+    makes true can be entailed.  Each remaining candidate, in canonical atom
+    order, is probed by one search under its complement as an assumption: no
+    model means it is entailed, and a model drops every candidate that model
+    does not make true.  Atoms the base never mentions are free, so only the
+    base's own atoms inside the Herbrand base are probed.
 
     Undefined (raises InconsistentBase) when the ground base has no model; a
     consistent base never yields both a literal and its negation.
     """
     formulas = ground(base, sig).formulas
     index = _atom_index([formulas])
-    clauses = _clausify(formulas, index)
-    candidates = _solve(clauses)
-    if candidates is None:
+    solver = _Solver(_clausify(formulas, index))
+    model = solver.solve()
+    if model is None:
         raise InconsistentBase("consequences undefined: base has no model")
+    candidates = set(model)
+    predicates = set(sig.predicates)
+    constants = set(sig.constants)
     out = []
-    for atom in sig.herbrand_atoms():
-        if atom not in index:
+    for atom, i in index.items():  # canonical order: the index is sorted by str
+        if (atom.predicate, len(atom.args)) not in predicates:
             continue
-        v = index[atom] + 1
+        if not all(t.name in constants for t in atom.args):
+            continue
+        v = i + 1
         lit = v if v in candidates else -v
         if lit not in candidates:
             continue
-        other = _solve(clauses + [[-lit]])
+        other = solver.solve((-lit,))
         if other is None:
             out.append(Literal(atom, lit < 0))
         else:

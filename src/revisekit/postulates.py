@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace as _replace
+from typing import Mapping
 
 from .errors import (
     CapExceeded,
@@ -31,7 +32,11 @@ from .logic import (
     BeliefBase,
     Literal,
     Rule,
+    Signature,
     Term,
+    _Solver,
+    _atom_index,
+    _clausify,
     collect_signature,
     entails,
     ground,
@@ -300,11 +305,14 @@ def random_instance(params: GeneratorParams,
         base = _random_base(rng, params, predicates, constants)
         if base is None:
             continue
-        gb = ground(base, collect_signature([base, _all_constants(constants)]))
-        if not is_consistent(gb.formulas):
+        sig = collect_signature([base, _all_constants(constants)])
+        formulas = ground(base, sig).formulas
+        index = _atom_index([formulas])
+        solver = _Solver(_clausify(formulas, index))
+        if solver.solve() is None:
             continue
 
-        phi = _pick_explanandum(rng, base, predicates, constants)
+        phi = _pick_explanandum(rng, sig, solver, index)
         if phi is None:
             continue
         explanation = _explanation_for(rng, phi, predicates, constants)
@@ -325,18 +333,25 @@ def _all_constants(constants: list[str]) -> list[Literal]:
     return [Literal(Atom("anchor", (Term(c),))) for c in constants]
 
 
-def _pick_explanandum(rng: random.Random, base: BeliefBase,
-                      predicates: list[tuple[str, int]],
-                      constants: list[str]) -> Explanandum | None:
-    sig = collect_signature([base, _all_constants(constants)])
-    gb = ground(base, sig).formulas
+def _pick_explanandum(rng: random.Random, sig: Signature, solver: _Solver,
+                      index: Mapping[Atom, int]) -> Explanandum | None:
+    """A random explanandum over the base's signature; with probability 0.55
+    the complement of one literal the base entails, if it entails any.
+
+    `solver` holds the consistent ground base and `index` its atom numbering:
+    the base entails a literal iff the solver has no model under its
+    complement, and it entails nothing about an atom it never mentions.
+    """
     conflict = rng.random() < 0.55
     atoms = [a for a in sig.herbrand_atoms() if a.predicate != "anchor"]
     rng.shuffle(atoms)
     if conflict:
         for atom in atoms:
-            for lit in (Literal(atom), Literal(atom, True)):
-                if entails(gb, lit):
+            if atom not in index:
+                continue
+            v = index[atom] + 1
+            for lit, complement in ((Literal(atom), -v), (Literal(atom, True), v)):
+                if solver.solve((complement,)) is None:
                     return Explanandum((lit.negate(),))
     width = 2 if rng.random() < 0.3 and len(atoms) > 1 else 1
     picked = []

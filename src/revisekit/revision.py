@@ -391,8 +391,12 @@ class SelectionStrategy:
             raise ValueError("interactive strategy needs a chooser callback")
         if self.kind == SEEDED_RANDOM and self.seed is None:
             object.__setattr__(self, "seed", 0)
-        if self.weights is not None and not isinstance(self.weights, tuple):
-            object.__setattr__(self, "weights", tuple(sorted(dict(self.weights).items())))
+        if self.weights is not None:
+            if not isinstance(self.weights, tuple):
+                object.__setattr__(self, "weights", tuple(sorted(dict(self.weights).items())))
+            for name, w in self.weights:
+                if not isinstance(w, (int, float)):
+                    raise ValueError(f"weight of {name!r} is not a number: {w!r}")
 
     @classmethod
     def named(cls, kind: str, seed: int | None = None,

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from revisekit import cli
+from revisekit.dsl import parse_base, parse_literals
+from revisekit.revision import WEIGHTED, Explanandum, SelectionStrategy, revise
 
 BASE = "Wor(charlie). Wor(charlie) -> Ins(charlie).\n"
 EXPL = "!Ins(charlie).\n"
@@ -126,6 +128,17 @@ class TestRevise:
             env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
         assert run.returncode == 1
         assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
+
+    def test_library_rejects_non_numeric_weights(self):
+        with pytest.raises(ValueError, match="not a number"):
+            SelectionStrategy.named(WEIGHTED, weights={"Wor(charlie)": "x"})
+        with pytest.raises(ValueError, match="not a number"):
+            SelectionStrategy(WEIGHTED, weights=(("Wor(charlie)", None),))
+        phi = Explanandum(parse_literals("!Ins(charlie)"))
+        for w in (float("nan"), -1, True, 2.5):
+            strategy = SelectionStrategy.named(WEIGHTED, weights={"Wor(charlie)": w})
+            result = revise(parse_base(BASE), parse_base(EXPL), phi, strategy)
+            assert len(result.retracted) == 1
 
     @pytest.mark.parametrize("weights", ['{"Wor(charlie)": NaN}', '{"Wor(charlie)": -1}', "{}"])
     def test_nan_negative_and_empty_weights_accepted(self, base_file, expl_file, capsys, weights):

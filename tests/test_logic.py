@@ -1,5 +1,7 @@
 import random
 import time
+from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -23,7 +25,8 @@ from revisekit import (
     parse_base,
     parse_literals,
 )
-from revisekit.logic import _atom_index, _clausify, _solve
+from revisekit import logic
+from revisekit.logic import _Solver, _atom_index, _clausify, _solve
 from conftest import random_ground_formulas
 
 
@@ -128,6 +131,81 @@ class TestConsistency:
         assert time.perf_counter() - start < 3.0
 
 
+def _random_clauses(rng: random.Random, nvars: int) -> list[list[int]]:
+    clauses = []
+    for _ in range(rng.randint(0, 10)):
+        width = min(nvars, rng.choice((1, 2, 2, 3, 3, 4)))
+        clauses.append(sorted(v if rng.random() < 0.5 else -v
+                              for v in rng.sample(range(1, nvars + 1), width)))
+    if rng.random() < 0.05:
+        clauses.insert(rng.randint(0, len(clauses)), [])
+    return clauses
+
+
+def _satisfiable(clauses: list[list[int]], nvars: int) -> bool:
+    return any(all(any(values[abs(l) - 1] == (l > 0) for l in c) for c in clauses)
+               for values in product((False, True), repeat=nvars))
+
+
+class TestSolver:
+    def test_reused_solver_matches_fresh_solves(self):
+        # one _Solver answers random assumption queries in random order; each
+        # answer must equal a fresh one-shot solve with the assumptions as
+        # unit clauses, and brute force, so no state leaks between queries
+        rng = random.Random(1709)
+        seen: Counter = Counter()
+        for trial in range(300):
+            nvars = rng.randint(1, 6)
+            clauses = _random_clauses(rng, nvars)
+            solver = _Solver(clauses)
+            if solver.root is None:
+                seen["unsat at root"] += 1
+            elif not all(any(l in solver.true for l in c) for c in clauses):
+                seen["needs decisions"] += 1
+            seen["empty clause"] += [] in clauses
+            spare = nvars + 1  # a variable no clause mentions
+            pool = list(range(1, nvars + 2))
+            queries = []
+            for _ in range(rng.randint(5, 8)):
+                assumptions = [v if rng.random() < 0.5 else -v
+                               for v in rng.sample(pool, rng.randint(0, min(3, len(pool))))]
+                if assumptions and rng.random() < 0.15:
+                    assumptions.append(-assumptions[0])
+                queries.append(assumptions)
+            queries += rng.sample(queries, 2)
+            rng.shuffle(queries)
+            for assumptions in queries:
+                model = solver.solve(assumptions)
+                units = [[a] for a in assumptions]
+                fresh = _solve(clauses + units)
+                assert (model is None) == (fresh is None), (clauses, assumptions)
+                assert (model is not None) == _satisfiable(clauses + units, spare)
+                if model is None:
+                    seen["unsat query"] += 1
+                    continue
+                seen["sat query"] += 1
+                seen["spare assumed"] += any(abs(a) == spare for a in assumptions)
+                assert all(any(l in model for l in c) for c in clauses)
+                assert all(a in model for a in assumptions)
+                assert not any(-l in model for l in model)
+        assert min(seen.values()) >= 10, seen
+
+    def test_consequences_builds_one_solver(self, monkeypatch, measure_base, measure_explanation):
+        built = []
+
+        class Counting(_Solver):
+            __slots__ = ()
+
+            def __init__(self, clauses):
+                built.append(len(clauses))
+                super().__init__(clauses)
+
+        monkeypatch.setattr(logic, "_Solver", Counting)
+        sig = collect_signature([measure_base, measure_explanation])
+        assert len(consequences(measure_base, sig)) == 4
+        assert len(built) == 1
+
+
 class TestEntails:
     def test_alice_entailment(self, alice_base):
         gb = ground(alice_base, collect_signature([alice_base]))
@@ -176,6 +254,13 @@ class TestConsequences:
 
     def test_empty(self):
         assert consequences(BeliefBase(), Signature()) == frozenset()
+
+    def test_only_signature_atoms(self):
+        # atoms outside the signature's Herbrand base are never reported,
+        # even when the base entails them
+        base = parse_base("Wor(charlie). Wor(diana). Wor(X) -> Ins(X). Cop. Cop -> Ins(diana).")
+        sig = Signature(("charlie",), (("Cop", 1), ("Ins", 1), ("Wor", 1)))
+        assert {str(l) for l in consequences(base, sig)} == {"Wor(charlie)", "Ins(charlie)"}
 
     def test_inconsistent_refused(self):
         base = parse_base("Wor(charlie). !Wor(charlie).")

@@ -99,6 +99,24 @@ class TestChangeMeasure:
         assert change_measure(measure_base, nonminimal).value > \
             change_measure(measure_base, minimal).value
 
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("k", [5, 20, 40])
+    def test_closed_form_at_scale(self, k, r):
+        # the scenario shape scaled over k constants: r conditionals
+        # P(X) -> Qj(X), categoricals P(e1..ek), and the explanation
+        # A(e1), A(X) -> !Q1(X); (r + 2) * k Herbrand atoms
+        conditionals = [f"P(X) -> Q{j}(X)." for j in range(1, r + 1)]
+        categoricals = [f"P(e{i})." for i in range(1, k + 1)]
+        explanation = ["A(e1).", "A(X) -> !Q1(X)."]
+        base = parse_base(" ".join(conditionals + categoricals))
+        cases = ((categoricals[0], k + r + 3, (r + 2) * k + 2),  # minimal: retract P(e1)
+                 (conditionals[0], k + 2, (r + 1) * k + 2))      # non-minimal: P(X) -> Q1(X)
+        for dropped, sym, union in cases:
+            kept = [st for st in conditionals + categoricals if st != dropped]
+            m = change_measure(base, parse_base(" ".join(kept + explanation)))
+            assert (m.numerator, m.denominator) == (sym, union)
+            assert m.value == Fraction(sym, union)
+
     def test_identity(self, measure_base):
         m = change_measure(measure_base, measure_base)
         assert m.value == 0

@@ -345,11 +345,17 @@ class TestDirectSelection:
         assert result.retracted == select(list(admissible_selections(b, e, phi)), strategy)
         assert forms(result.retracted) == {"!u", "s -> z"}
 
-    def test_weights_off_the_union_are_not_read(self, charlie_base, charlie_explanation,
-                                                charlie_phi):
-        strategy = SelectionStrategy.named("weighted", weights={"Zzz(a)": "x", "Yyy(a)": -1.0})
-        result = revise(charlie_base, charlie_explanation, charlie_phi, strategy)
+    def test_weights_off_the_union_are_not_read(self, monkeypatch, charlie_base,
+                                                charlie_explanation, charlie_phi):
+        # read, either weight would send the selection to the full list
+        strategy = SelectionStrategy.named("weighted",
+                                           weights={"Zzz(a)": float("nan"), "Yyy(a)": -1.0})
         pool = list(admissible_selections(charlie_base, charlie_explanation, charlie_phi))
+
+        def unused(self):
+            raise AssertionError("weights off the union forced the full list")
+        monkeypatch.setattr(_UnionContext, "admissible", unused)
+        result = revise(charlie_base, charlie_explanation, charlie_phi, strategy)
         assert result.retracted == select(pool, strategy)
 
     @pytest.mark.parametrize("weights", [{"Wor(charlie)": -1.0, RULE: -1.0},
