@@ -29,8 +29,9 @@ from .revision import (
     Explanandum,
     RevisionResult,
     SelectionStrategy,
-    admissible_selections,
-    revise,
+    _revise,
+    _UnionContext,
+    _validated_context,
 )
 
 EXPERIMENT_1_IDS = tuple(f"exp1-s{i}" for i in range(1, 10))
@@ -75,38 +76,34 @@ def scenario_inputs(entry: CorpusEntry) -> tuple[BeliefBase, BeliefBase, Explana
     return base, BeliefBase.from_formulas(list(entry.scenario.fact)), phi
 
 
-def _forced(target_forms: frozenset[str], description: str) -> SelectionStrategy:
+def _pattern_revision(ctx: _UnionContext, entry: CorpusEntry, pattern: str) -> RevisionResult:
+    scenario = entry.scenario
+    if pattern == "minimal":
+        matches = frozenset(str(s.formula) for s in scenario.categoricals()).__eq__
+    elif pattern == "non-minimal":  # the pool is in sort_key order: the first match is smallest
+        matches = frozenset(str(s.formula) for s in scenario.conditionals()).issuperset
+    else:
+        raise ValueError(f"unknown pattern {pattern!r}")
+    missing = f"the {pattern} pattern is not admissible for {scenario.id}"
+
     def chooser(pool: Sequence[CorrectionSet]) -> int:
         for i, cs in enumerate(pool):
-            if cs.canonical_forms() == target_forms:
+            if matches(cs.canonical_forms()):
                 return i
-        raise NoCandidates(f"no admissible correction set matches {description}")
-    return SelectionStrategy("interactive", chooser=chooser)
+        raise NoCandidates(missing)
+    result = _revise(ctx, SelectionStrategy("interactive", chooser=chooser))
+    if result.union_consistent:
+        raise NoCandidates(missing)
+    return result
 
 
 def pattern_revision(entry: CorpusEntry, pattern: str,
                      cap: int = DEFAULT_CAP) -> RevisionResult:
-    """Replay an entry with one of the reference retraction patterns."""
-    base, explanation, phi = scenario_inputs(entry)
-    scenario = entry.scenario
-    candidates = list(admissible_selections(base, explanation, phi, cap))
-    cat_forms = frozenset(str(s.formula) for s in scenario.categoricals())
-    cond_forms = frozenset(str(s.formula) for s in scenario.conditionals())
-    if pattern == "minimal":
-        target = next((cs for cs in candidates if cs.canonical_forms() == cat_forms), None)
-    elif pattern == "non-minimal":
-        conditional_only = [cs for cs in candidates if cs.canonical_forms() <= cond_forms]
-        target = min(conditional_only, key=CorrectionSet.sort_key) if conditional_only else None
-    else:
-        raise ValueError(f"unknown pattern {pattern!r}")
-    if target is None:
-        raise NoCandidates(f"the {pattern} pattern is not admissible for {scenario.id}")
-    return revise(base, explanation, phi,
-                  _forced(target.canonical_forms(), pattern), cap)
+    """Replay an entry with a reference retraction pattern, on its own validated context."""
+    return _pattern_revision(_validated_context(*scenario_inputs(entry), cap), entry, pattern)
 
 
-def _row(entry: CorpusEntry, run: str, result: RevisionResult,
-         cap: int) -> dict[str, Any]:
+def _row(entry: CorpusEntry, run: str, result: RevisionResult) -> dict[str, Any]:
     base = entry.scenario.belief_base()
     classification = classify_revision(entry.scenario, result)
     measure = change_measure(base, result.revised)
@@ -129,23 +126,22 @@ def corpus_report(experiment: int | None = None,
 
     Each entry contributes a `minimal` and a `non-minimal` pattern row; second-
     experiment entries additionally contribute one strategy-selected guided
-    run.  The comparison records, with exact rationals, whether the
-    non-minimal revision changed more than the minimal one; entries where it
-    did not are collected under `exceptions` rather than assumed away.
+    run.  All runs of an entry select from one validated context, so they
+    share its grounding and memoized SAT checks.  The comparison records, with
+    exact rationals, whether the non-minimal revision changed more than the
+    minimal one; entries where it did not are collected under `exceptions`
+    rather than assumed away.
     """
     if strategy is None:
         strategy = SelectionStrategy("protect-explanation")
     rows: list[dict[str, Any]] = []
     comparisons: list[dict[str, Any]] = []
     for entry in corpus_entries(experiment):
+        ctx = _validated_context(*scenario_inputs(entry), cap)
         if entry.experiment == 2:
-            base, explanation, phi = scenario_inputs(entry)
-            rows.append(_row(entry, f"strategy:{strategy.kind}",
-                             revise(base, explanation, phi, strategy, cap), cap))
-        minimal = pattern_revision(entry, "minimal", cap)
-        nonminimal = pattern_revision(entry, "non-minimal", cap)
-        min_row = _row(entry, "pattern:minimal", minimal, cap)
-        nonmin_row = _row(entry, "pattern:non-minimal", nonminimal, cap)
+            rows.append(_row(entry, f"strategy:{strategy.kind}", _revise(ctx, strategy)))
+        min_row, nonmin_row = [_row(entry, f"pattern:{p}", _pattern_revision(ctx, entry, p))
+                               for p in ("minimal", "non-minimal")]
         rows += [min_row, nonmin_row]
         d_min: Fraction = min_row["change_measure"].value
         d_nonmin: Fraction = nonmin_row["change_measure"].value

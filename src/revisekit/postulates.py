@@ -219,6 +219,10 @@ class GeneratorParams:
             raise ValueError("max_arity must be 0, 1, or 2")
         if not 0 <= self.fact_probability <= 1:
             raise ValueError("fact_probability must lie in [0, 1]")
+        for name, least in (("predicate_count", 1), ("constant_count", 0),
+                            ("rule_count", 0), ("body_length", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
 
 
 _MAX_ATTEMPTS = 60
@@ -469,6 +473,8 @@ def check_propositions(params: GeneratorParams, trials: int,
     strong-acceptance (and downstream acceptance) violations are expected and
     reported under `baseline_violations`.
     """
+    if trials < 0:
+        raise ValueError(f"trials must not be negative, got {trials}")
     failures: list[SuiteFailure] = []
     baseline: list[SuiteFailure] = list(_baseline_strong_acceptance(params.seed))
     inconsistent_unions = 0

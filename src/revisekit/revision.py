@@ -488,20 +488,28 @@ def revise(base: BeliefBase, explanation: BeliefBase, phi: Explanandum,
     Only seeded-random, interactive and weighted with a union formula weighing
     below zero or NaN list every admissible set.  min-cardinality and
     protect-explanation read the stream up to their pick, max-cardinality
-    searches by size, and weighted compares minimal correction sets.
+    searches by size, and weighted compares minimal correction sets.  The
+    corpus replay runs each of an entry's selections on one validated context.
 
     Raises InvalidExplanation (with the report attached) when the explanation
     fails validation, and CapExceeded when the ground union is too large.
     """
-    report = validate_explanation(explanation, phi)
-    if not report.valid:
-        raise InvalidExplanation(report)
+    return _revise(_validated_context(base, explanation, phi, cap), strategy)
 
-    ctx = _UnionContext(base, explanation, phi, cap)
+
+def _validated_context(base: BeliefBase, explanation: BeliefBase, phi: Explanandum,
+                       cap: int) -> _UnionContext:
+    if not (report := validate_explanation(explanation, phi)).valid:
+        raise InvalidExplanation(report)
+    return _UnionContext(base, explanation, phi, cap)
+
+
+def _revise(ctx: _UnionContext, strategy: SelectionStrategy) -> RevisionResult:
+    """Select and retract a correction set of a validated context's union."""
     if ctx.consistent(frozenset(range(len(ctx.elements)))):
         revised = base_from_elements(ctx.elements)
         return RevisionResult(revised, EMPTY_CORRECTION, True,
-                              strategy.kind, strategy.seed, phi, True)
+                              strategy.kind, strategy.seed, ctx.phi, True)
 
     if strategy.kind == MIN_CARDINALITY:
         # The stream is ordered by cardinality then canonical form, so the
@@ -531,4 +539,4 @@ def revise(base: BeliefBase, explanation: BeliefBase, phi: Explanandum,
     kept = [el for el in ctx.elements if el.canonical() not in removed]
     revised = base_from_elements(kept)
     return RevisionResult(revised, selected, False,
-                          strategy.kind, strategy.seed, phi, True)
+                          strategy.kind, strategy.seed, ctx.phi, True)

@@ -32,6 +32,15 @@ S2: categorical: Fever(maria).
 """
 
 
+def _run_cli(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "revisekit.cli", *args],
+                          env=dict(os.environ, PYTHONPATH=path, **env),
+                          capture_output=True, text=True)
+
+
 @pytest.fixture
 def base_file(tmp_path):
     path = tmp_path / "base.rk"
@@ -120,12 +129,8 @@ class TestRevise:
 
     @pytest.mark.parametrize("weights", ['{"Wor(charlie)": "x"}', "[1,2]"])
     def test_malformed_weights_exit_1(self, base_file, expl_file, weights):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        run = subprocess.run(
-            [sys.executable, "-m", "revisekit.cli", "revise", str(base_file), str(expl_file),
-             "!Ins(charlie)", "--strategy=weighted", f"--weights={weights}"],
-            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+        run = _run_cli("revise", str(base_file), str(expl_file), "!Ins(charlie)",
+                       "--strategy=weighted", f"--weights={weights}")
         assert run.returncode == 1
         assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
 
@@ -254,22 +259,27 @@ class TestSuite:
         assert payload["failures"] == []
         assert payload["trials"] == 20
 
+    @pytest.mark.parametrize("arg", [
+        "--predicates=0", "--predicates=-1", "--body-length=0", "--rules=-1",
+        "--constants=-1", "--trials=-2",
+    ])
+    def test_out_of_range_sizes_exit_1(self, arg):
+        run = _run_cli("suite", "--trials=3", arg)
+        assert run.returncode == 1
+        assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
+        assert run.stderr.count("\n") == 1
+
     def test_falappa_informational(self, capsys):
         assert cli.main(["suite", "--trials=10", "--operator=falappa"]) == 0
         assert "informational" in capsys.readouterr().out
 
 
 def test_json_output_independent_of_hash_seed():
-    src = str(Path(cli.__file__).resolve().parents[1])
     commands = (["corpus", "--format=json"], ["suite", "--trials=50", "--format=json"])
     outputs = []
     for hash_seed in ("0", "1"):
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
-        outputs.append([
-            subprocess.run([sys.executable, "-m", "revisekit.cli", *args], env=env,
-                           capture_output=True, check=True).stdout
-            for args in commands
-        ])
+        runs = [_run_cli(*args, PYTHONHASHSEED=hash_seed) for args in commands]
+        assert all(run.returncode == 0 for run in runs)
+        outputs.append([run.stdout for run in runs])
     assert all(outputs[0])
     assert outputs[0] == outputs[1]

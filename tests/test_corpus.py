@@ -1,9 +1,15 @@
+import hashlib
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from revisekit import (
+    CapExceeded,
+    NoCandidates,
     SelectionStrategy,
+    cli,
     classify_revision,
     collect_signature,
     corpus_entries,
@@ -87,8 +93,22 @@ class TestPatternRevisions:
 
     def test_unknown_pattern(self):
         entry = corpus_entries()[0]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown pattern 'fancy'"):
             pattern_revision(entry, "fancy")
+
+    @pytest.mark.parametrize("pattern", ["minimal", "non-minimal"])
+    def test_consistent_union_has_no_pattern(self, pattern):
+        # without its categorical the first scenario no longer conflicts with its fact
+        entry = corpus_entries()[0]
+        entry = replace(entry, scenario=replace(entry.scenario,
+                                                statements=entry.scenario.conditionals()))
+        message = f"the {pattern} pattern is not admissible for exp1-s1"
+        with pytest.raises(NoCandidates, match=message):
+            pattern_revision(entry, pattern)
+
+    def test_cap_below_ground_size(self):
+        with pytest.raises(CapExceeded):
+            pattern_revision(corpus_entries()[0], "minimal", cap=2)
 
 
 class TestCorpusReport:
@@ -135,3 +155,40 @@ class TestCorpusReport:
                 result = pattern_revision(entry, pattern)
                 assert result.strategy == "interactive"
                 assert classify_revision(entry.scenario, result).label == want
+
+
+class TestSharedContext:
+    def test_one_context_and_validation_per_entry(self, monkeypatch):
+        from revisekit import revision
+
+        calls: Counter = Counter()
+        for owner, name in ((revision._UnionContext, "__init__"),
+                            (revision, "validate_explanation")):
+            def counted(*args, _inner=getattr(owner, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        corpus_report()
+        assert calls == {"__init__": 15, "validate_explanation": 15}
+
+    # md5 prefixes of the CLI output before the runs of an entry shared one
+    # context; sharing memoized checks must not change a byte of any row
+    @pytest.mark.parametrize("args, prefix", [
+        (["--format=json"], "401c4492"),
+        (["--format=json", "--strategy=min-cardinality"], "53defe44"),
+        (["--format=json", "--strategy=max-cardinality"], "9dbe1dd6"),
+        (["--format=json", "--strategy=weighted"], "df6f0149"),
+        (["--format=json", "--strategy=seeded-random"], "ecec0136"),
+        ([], "9c9ac0d7"),
+        (["--strategy=min-cardinality"], "1a4a79f8"),
+        (["--strategy=max-cardinality"], "60c98a97"),
+        (["--strategy=weighted"], "ca65c189"),
+        (["--strategy=seeded-random"], "8ff787d0"),
+        (["--format=json", "--experiment=1"], "584364e6"),
+        (["--format=json", "--experiment=1", "--strategy=max-cardinality"], "584364e6"),
+        (["--format=json", "--experiment=2", "--strategy=seeded-random", "--seed=7"], "9e3fb97f"),
+    ])
+    def test_cli_output_digest(self, args, prefix, capsys):
+        assert cli.main(["corpus", *args]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.md5(out.encode()).hexdigest().startswith(prefix)

@@ -105,6 +105,18 @@ class TestCheckReversion:
 
 
 class TestRandomInstance:
+    @pytest.mark.parametrize("field, value", [
+        ("predicate_count", 0), ("predicate_count", -1), ("constant_count", -1),
+        ("rule_count", -1), ("body_length", 0),
+    ])
+    def test_rejects_out_of_range_sizes(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be at least"):
+            GeneratorParams(**{field: value})
+
+    def test_accepts_empty_constants_and_rules(self):
+        params = GeneratorParams(constant_count=0, rule_count=0)
+        assert check_propositions(params, trials=5).ok
+
     def test_reproducible(self):
         a = random_instance(GeneratorParams(seed=77))
         b = random_instance(GeneratorParams(seed=77))
@@ -136,6 +148,10 @@ class TestCheckPropositions:
         assert report.trials == 0
         # the fixed baseline fixture is still evaluated
         assert len(report.baseline_violations) >= 1
+
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials must not be negative"):
+            check_propositions(GeneratorParams(seed=0), trials=-2)
 
     def test_falappa_run_reports_informational_violations(self):
         report = check_propositions(GeneratorParams(seed=2), trials=40, operator="falappa")
