@@ -22,15 +22,18 @@ Two engines are kept deliberately independent:
     the first engine is tested against.
 
 All types are immutable; all operations are pure functions of their inputs.
-Deterministic tie-breaking everywhere uses one canonical ordering: the
-lexicographic order of the canonical serialized form (`str()` of a formula).
+Atoms, literals and rules are identified by their canonical text (`str()`),
+built once at construction: equality, hashing and printing all read it.  The
+rendering is injective, since identifiers cannot contain `(`, `, `, `!`,
+` & ` or ` -> `, so this is structural equality.  Deterministic tie-breaking
+everywhere uses one canonical ordering: the lexicographic order of that text.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, field
+from itertools import chain, product
 from typing import Any, Iterable, Iterator, Mapping, Union
 
 from .errors import ArityMismatch, CapExceeded, EmptyUniverse, InconsistentBase
@@ -65,8 +68,27 @@ class Term:
         return self.name
 
 
-@dataclass(frozen=True)
-class Atom:
+@dataclass(frozen=True, eq=False)
+class _Syntax:
+    """Equal, hashed and printed by the canonical text `_text`, which each
+    subclass sets once, in `__post_init__`."""
+
+    _text: str = field(init=False, repr=False)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._text == other._text
+
+    def __hash__(self) -> int:
+        return hash(self._text)
+
+    def __str__(self) -> str:
+        return self._text
+
+
+@dataclass(frozen=True, eq=False)
+class Atom(_Syntax):
     """A predicate applied to zero or more terms."""
 
     predicate: str
@@ -75,6 +97,10 @@ class Atom:
     def __post_init__(self) -> None:
         if not _IDENT.match(self.predicate):
             raise ValueError(f"not an identifier: {self.predicate!r}")
+        text = self.predicate
+        if self.args:
+            text += f"({', '.join(t.name for t in self.args)})"
+        object.__setattr__(self, "_text", text)
 
     @property
     def arity(self) -> int:
@@ -90,16 +116,14 @@ class Atom:
     def substitute(self, binding: Mapping[str, str]) -> "Atom":
         return Atom(self.predicate, tuple(Term(binding.get(t.name, t.name)) for t in self.args))
 
-    def __str__(self) -> str:
-        if not self.args:
-            return self.predicate
-        return f"{self.predicate}({', '.join(t.name for t in self.args)})"
 
-
-@dataclass(frozen=True)
-class Literal:
+@dataclass(frozen=True, eq=False)
+class Literal(_Syntax):
     atom: Atom
     negated: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_text", ("!" if self.negated else "") + self.atom._text)
 
     @property
     def is_ground(self) -> bool:
@@ -114,12 +138,9 @@ class Literal:
     def substitute(self, binding: Mapping[str, str]) -> "Literal":
         return Literal(self.atom.substitute(binding), self.negated)
 
-    def __str__(self) -> str:
-        return ("!" if self.negated else "") + str(self.atom)
 
-
-@dataclass(frozen=True)
-class Rule:
+@dataclass(frozen=True, eq=False)
+class Rule(_Syntax):
     """Conditional with a conjunctive body and a single-literal head.
 
     Variables are implicitly universally quantified.  Every head variable must
@@ -137,15 +158,14 @@ class Rule:
         loose = self.head.variables() - body_vars
         if loose:
             raise ValueError(f"head variables not bound by the body: {sorted(loose)}")
+        text = " & ".join(lit._text for lit in self.body) + " -> " + self.head._text
+        object.__setattr__(self, "_text", text)
 
     def variables(self) -> frozenset[str]:
         return frozenset().union(self.head.variables(), *(lit.variables() for lit in self.body))
 
     def substitute(self, binding: Mapping[str, str]) -> "Rule":
         return Rule(tuple(lit.substitute(binding) for lit in self.body), self.head.substitute(binding))
-
-    def __str__(self) -> str:
-        return " & ".join(str(lit) for lit in self.body) + " -> " + str(self.head)
 
 
 Formula = Union[Literal, Rule]
@@ -345,16 +365,8 @@ def ground(base: BeliefBase, sig: Signature) -> GroundBeliefBase:
 
     Duplicate ground formulas are kept once, at their first occurrence.
     """
-    formulas: list[GroundFormula] = []
-    seen: set[str] = set()
-    for st in base.statements:
-        for gf in ground_formula(st.formula, sig):
-            canon = str(gf)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            formulas.append(gf)
-    return GroundBeliefBase(tuple(formulas))
+    return GroundBeliefBase(tuple(dict.fromkeys(
+        gf for st in base.statements for gf in ground_formula(st.formula, sig))))
 
 
 # --- clausification + complete search -------------------------------------
@@ -505,16 +517,19 @@ def _solve(clauses: list[list[int]]) -> set[int] | None:
     return _Solver(clauses).solve()
 
 
-def _atom_index(groups: Iterable[Iterable[GroundFormula]]) -> dict[Atom, int]:
+def _atoms(formulas: Iterable[GroundFormula]) -> set[Atom]:
     atoms: set[Atom] = set()
-    for group in groups:
-        for gf in group:
-            if isinstance(gf, Literal):
-                atoms.add(gf.atom)
-            else:
-                atoms.update(lit.atom for lit in gf.body)
-                atoms.add(gf.head.atom)
-    return {atom: i for i, atom in enumerate(sorted(atoms, key=str))}
+    for gf in formulas:
+        if isinstance(gf, Literal):
+            atoms.add(gf.atom)
+        else:
+            atoms.update(lit.atom for lit in gf.body)
+            atoms.add(gf.head.atom)
+    return atoms
+
+
+def _atom_index(groups: Iterable[Iterable[GroundFormula]]) -> dict[Atom, int]:
+    return {atom: i for i, atom in enumerate(sorted(_atoms(chain.from_iterable(groups)), key=str))}
 
 
 def is_consistent(formulas: Iterable[GroundFormula]) -> bool:

@@ -30,6 +30,7 @@ from .logic import (
     DEFAULT_CAP,
     Atom,
     BeliefBase,
+    Formula,
     Literal,
     Rule,
     Signature,
@@ -238,12 +239,12 @@ def _random_atom(rng: random.Random, predicates: list[tuple[str, int]],
 def _random_base(rng: random.Random, params: GeneratorParams,
                  predicates: list[tuple[str, int]], constants: list[str]) -> BeliefBase | None:
     formulas: list = []
-    seen: set[str] = set()
+    seen: set[Formula] = set()
     for _ in range(max(1, round(params.fact_probability * 2 * params.predicate_count))):
         lit = Literal(_random_atom(rng, predicates, constants), rng.random() < 0.3)
-        if str(lit) in seen or str(lit.negate()) in seen:
+        if lit in seen or lit.negate() in seen:
             continue
-        seen.add(str(lit))
+        seen.add(lit)
         formulas.append(lit)
     for _ in range(params.rule_count):
         body = []
@@ -263,8 +264,8 @@ def _random_base(rng: random.Random, params: GeneratorParams,
             else:
                 head_args.append(Term(rng.choice(constants)))
         rule = Rule(tuple(body), Literal(Atom(name, tuple(head_args)), rng.random() < 0.4))
-        if str(rule) not in seen:
-            seen.add(str(rule))
+        if rule not in seen:
+            seen.add(rule)
             formulas.append(rule)
     try:
         return BeliefBase.from_formulas(formulas)
@@ -279,8 +280,7 @@ def _explanation_for(rng: random.Random, phi: Explanandum,
     if rng.random() < 0.4:
         return BeliefBase.from_formulas(list(phi.literals))
     trigger = Literal(_random_atom(rng, predicates, constants))
-    forbidden = {str(l.atom) for l in phi.literals}
-    if str(trigger.atom) in forbidden:
+    if trigger.atom in {l.atom for l in phi.literals}:
         return BeliefBase.from_formulas(list(phi.literals))
     rules = [Rule((trigger,), lit) for lit in phi.literals]
     return BeliefBase.from_formulas([trigger] + rules)
@@ -358,18 +358,11 @@ def _pick_explanandum(rng: random.Random, sig: Signature, solver: _Solver,
                 if solver.solve((complement,)) is None:
                     return Explanandum((lit.negate(),))
     width = 2 if rng.random() < 0.3 and len(atoms) > 1 else 1
-    picked = []
-    seen_atoms: set[str] = set()
-    for atom in atoms:
-        if len(picked) == width:
-            break
-        if str(atom) in seen_atoms:
-            continue
-        seen_atoms.add(str(atom))
-        picked.append(Literal(atom, rng.random() < 0.4))
+    # Herbrand atoms are distinct, so the first `width` give distinct literals
+    picked = tuple(Literal(atom, rng.random() < 0.4) for atom in atoms[:width])
     if not picked:
         return None
-    return Explanandum(tuple(picked))
+    return Explanandum(picked)
 
 
 def reversion_pair(seed: int) -> tuple[BeliefBase, BeliefBase, BeliefBase, Explanandum]:

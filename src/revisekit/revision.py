@@ -27,7 +27,7 @@ from .logic import (
     Literal,
     Signature,
     Statement,
-    _atom_index,
+    _atoms,
     _solve,
     collect_signature,
     entails,
@@ -53,11 +53,11 @@ class Explanandum:
         for lit in self.literals:
             if not lit.is_ground:
                 raise ValueError(f"explanandum literal is not ground: {lit}")
-            if str(lit) in seen:
+            if lit in seen:
                 raise ValueError(f"repeated literal: {lit}")
-            seen.add(str(lit))
+            seen.add(lit)
         for lit in self.literals:
-            if str(lit.negate()) in seen:
+            if lit.negate() in seen:
                 raise ValueError(f"explanandum contains {lit} and its negation")
 
     def __iter__(self) -> Iterator[Literal]:
@@ -291,7 +291,7 @@ class _UnionContext:
         atom (a consistent one cannot entail it) or holding one inconsistent."""
         n = len(self.elements)
         everything = frozenset(range(n))
-        mentioning = [{i for i, g in self.ground_of.items() if lit.atom in _atom_index([g])}
+        mentioning = [{i for i, g in self.ground_of.items() if lit.atom in _atoms(g)}
                       for lit in self.phi.literals]
         inconsistent: list[frozenset[int]] = []
         for size in range(n - 1, 0, -1):

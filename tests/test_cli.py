@@ -32,11 +32,11 @@ S2: categorical: Fever(maria).
 """
 
 
-def _run_cli(*args: str, **env: str) -> subprocess.CompletedProcess:
+def _run_cli(*args: str, module: str = "revisekit.cli", **env: str) -> subprocess.CompletedProcess:
     """Run the CLI in a fresh interpreter that imports this checkout's package."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "revisekit.cli", *args],
+    return subprocess.run([sys.executable, "-m", module, *args],
                           env=dict(os.environ, PYTHONPATH=path, **env),
                           capture_output=True, text=True)
 
@@ -53,6 +53,17 @@ def expl_file(tmp_path):
     path = tmp_path / "expl.rk"
     path.write_text(EXPL, encoding="utf-8")
     return path
+
+
+def test_python_m_revisekit_runs_main(tmp_path, capsys):
+    code = cli.main(["corpus", "--format=json"])
+    run = _run_cli("corpus", "--format=json", module="revisekit")
+    assert (run.returncode, run.stdout) == (code, capsys.readouterr().out)
+    bad = tmp_path / "bad.rk"
+    bad.write_text("Wor(charlie", encoding="utf-8")
+    run = _run_cli("check", str(bad), module="revisekit")
+    assert run.returncode == 2
+    assert "parse error" in run.stderr
 
 
 def test_parser_lists_commands():

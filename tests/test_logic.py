@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 import time
 from collections import Counter
@@ -54,6 +57,98 @@ class TestTerms:
     def test_rule_needs_body(self):
         with pytest.raises(ValueError):
             Rule((), Literal(Atom("Q")))
+
+
+def _ref_key(x) -> tuple:
+    """Structural identity, independent of the canonical text."""
+    if isinstance(x, Atom):
+        return ("atom", x.predicate, tuple(t.name for t in x.args))
+    if isinstance(x, Literal):
+        return ("literal", _ref_key(x.atom), x.negated)
+    return ("rule", tuple(_ref_key(l) for l in x.body), _ref_key(x.head))
+
+
+def _ref_str(x) -> str:
+    if isinstance(x, Atom):
+        return x.predicate + (f"({', '.join(t.name for t in x.args)})" if x.args else "")
+    if isinstance(x, Literal):
+        return ("!" if x.negated else "") + _ref_str(x.atom)
+    return " & ".join(_ref_str(l) for l in x.body) + " -> " + _ref_str(x.head)
+
+
+def _ref_repr(x) -> str:
+    if isinstance(x, Atom):
+        return f"Atom(predicate={x.predicate!r}, args={x.args!r})"
+    if isinstance(x, Literal):
+        return f"Literal(atom={_ref_repr(x.atom)}, negated={x.negated!r})"
+    body = ", ".join(_ref_repr(l) for l in x.body) + ("," if len(x.body) == 1 else "")
+    return f"Rule(body=({body}), head={_ref_repr(x.head)})"
+
+
+def _syntax_pool(seed: int) -> list:
+    """Freshly built atoms, literals and rules over small name pools, so that
+    structurally equal objects recur as distinct instances."""
+    rng = random.Random(seed)
+    names = ["p", "q", "pq", "P"]
+    terms = ["a", "b", "ab", "X", "Y"]
+
+    def atom():
+        return Atom(rng.choice(names), tuple(Term(rng.choice(terms)) for _ in range(rng.randint(0, 3))))
+
+    def literal():
+        return Literal(atom(), rng.random() < 0.5)
+
+    pool = [Atom("p"), Literal(Atom("p")), Atom("p", (Term("a"), Term("a"))),
+            Literal(Atom("p", (Term("X"), Term("X"))), True)]
+    pool += [atom() for _ in range(60)] + [literal() for _ in range(60)]
+    while len(pool) < 160:
+        try:
+            pool.append(Rule(tuple(literal() for _ in range(rng.randint(1, 3))), literal()))
+        except ValueError:
+            pass  # head variable not bound by the body
+    return pool
+
+
+class TestCanonicalIdentity:
+    """Atoms, literals and rules are identified by their canonical text; the
+    text must give exactly structural equality, printing and `repr`."""
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_equality_matches_structure(self, seed):
+        pool = _syntax_pool(seed)
+        keys = [_ref_key(x) for x in pool]
+        assert len(set(keys)) < len(keys)  # some structurally equal pairs occur
+        for x, kx in zip(pool, keys):
+            for y, ky in zip(pool, keys):
+                assert (x == y) == (kx == ky)
+                assert (x != y) == (kx != ky)
+                if x == y:
+                    assert hash(x) == hash(y)
+            assert str(x) == _ref_str(x)
+            assert repr(x) == _ref_repr(x)
+
+    def test_cross_type_unequal(self):
+        atom = Atom("p", (Term("a"),))
+        assert str(atom) == str(Literal(atom))
+        assert atom != Literal(atom)
+        assert Literal(atom) != atom
+        assert len({atom, Literal(atom)}) == 2
+        assert atom != "p(a)" and Literal(atom) != "p(a)"
+
+    def test_copies_and_replacements(self):
+        for x in _syntax_pool(29):
+            for clone in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x)),
+                          dataclasses.replace(x)):
+                assert clone == x and hash(clone) == hash(x)
+                assert str(clone) == _ref_str(x)
+            if isinstance(x, Atom):
+                changed = dataclasses.replace(x, predicate="r")
+            elif isinstance(x, Literal):
+                changed = dataclasses.replace(x, negated=not x.negated)
+            else:
+                changed = dataclasses.replace(x, head=x.head.negate())
+            assert changed != x
+            assert str(changed) == _ref_str(changed)
 
 
 class TestSignature:
