@@ -116,12 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cap(args: argparse.Namespace) -> int:
-    if args.max_ground is not None:
-        return args.max_ground
     env = os.environ.get("REVISEKIT_MAX_GROUND")
-    if env is not None:
-        return int(env)
-    return DEFAULT_CAP
+    cap = args.max_ground if args.max_ground is not None else (
+        int(env) if env is not None else DEFAULT_CAP)
+    if cap < 0:
+        raise ValueError(f"the ground cap must not be negative, got {cap}")
+    return cap
 
 
 def _looks_like_scenario(text: str) -> bool:
@@ -156,7 +156,10 @@ def _menu_chooser(pool: Sequence[CorrectionSet]) -> int:
     for i, cs in enumerate(pool, start=1):
         print(f"  {i}) {cs}")
     while True:
-        raw = input(f"select [1-{len(pool)}]: ").strip()
+        try:
+            raw = input(f"select [1-{len(pool)}]: ").strip()
+        except EOFError:
+            raise RevisekitError("input ended before a correction set was selected") from None
         if raw.isdigit() and 1 <= int(raw) <= len(pool):
             return int(raw) - 1
         print(f"enter a number between 1 and {len(pool)}")

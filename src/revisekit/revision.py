@@ -8,7 +8,8 @@ choice to be minimal.
 
 Enumeration order is by cardinality and then lexicographic on canonical
 serialized forms, so cardinality-minimal strategies can stop at the first
-admissible set and equal inputs always yield equal streams.
+admissible set and equal inputs always yield equal streams.  Each union's
+subset checks are solves of one solver, under selector assumptions.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from itertools import chain, combinations, islice
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .errors import CapExceeded, InvalidExplanation, NoCandidates
 from .logic import (
@@ -27,8 +28,11 @@ from .logic import (
     Literal,
     Signature,
     Statement,
+    _atom_index,
     _atoms,
+    _clausify,
     _solve,
+    _Solver,
     collect_signature,
     entails,
     ground,
@@ -97,14 +101,12 @@ def validate_explanation(
     explanation: BeliefBase,
     phi: Explanandum,
     sig: Signature | None = None,
-    exhaustive: bool = False,
 ) -> ExplanationReport:
     """Evaluate the three validity conditions on the ground explanation.
 
     Minimality is decided by single-element removals, which is equivalent to
     quantifying over all proper subsets by monotonicity of classical
-    entailment; `exhaustive=True` runs the all-subsets check instead (used to
-    cross-verify the equivalence).
+    entailment.
     """
     if sig is None:
         sig = collect_signature([explanation, phi.literals])
@@ -114,18 +116,8 @@ def validate_explanation(
 
     witnesses: list[tuple[str, ...]] = []
     statements = explanation.statements
-    if exhaustive:
-        subsets: Iterable[tuple[Statement, ...]] = (
-            subset
-            for size in range(len(statements))
-            for subset in combinations(statements, size)
-        )
-    else:
-        subsets = (
-            tuple(st for st in statements if st is not removed)
-            for removed in statements
-        )
-    for subset in subsets:
+    for removed in statements:
+        subset = [st for st in statements if st is not removed]
         sub_formulas = [gf for st in subset for gf in ground_formula(st.formula, sig)]
         if entails(sub_formulas, phi.literals):
             witnesses.append(tuple(sorted(st.canonical() for st in subset)))
@@ -192,9 +184,17 @@ EMPTY_CORRECTION = CorrectionSet(())
 
 
 class _UnionContext:
-    """Grounds and sizes a union once for every operator, and memoizes
-    subset consistency/entailment checks.  The ground size capped is the sum
-    of every element's ground instances, duplicates included."""
+    """Grounds and sizes a union once for every operator, and decides its
+    subset consistency/entailment checks, memoized, on one solver built by the
+    first check.  The ground size capped is the sum of every element's ground
+    instances, duplicates included.
+
+    Selector variables follow the atoms: each clause of element i starts with
+    !s_i, and the negated explanandum with !s_phi, so the search sees a
+    dropped element's clause satisfied at its first literal.  A check assumes
+    s_i for each kept element, !s_i for each dropped one and s_phi only for
+    entailment, so it is one `_Solver.solve` that never branches on a selector
+    (Een & Sorensson, SAT 2003) and answers as a fresh `is_consistent`/`entails`."""
 
     def __init__(self, base: BeliefBase, explanation: BeliefBase,
                  phi: Explanandum | None, cap: int):
@@ -212,23 +212,35 @@ class _UnionContext:
         self._consistency: dict[frozenset[int], bool] = {}
         self._entailment: dict[frozenset[int], bool] = {}
         self.phi = phi
+        self._solver: _Solver | None = None
+        self._selectors = 0  # the first selector variable, once the solver is built
 
-    def _formulas(self, indices: frozenset[int]) -> list[GroundFormula]:
-        return [gf for i in sorted(indices) for gf in self.ground_of[i]]
+    def _satisfiable(self, indices: frozenset[int], refute_phi: bool) -> bool:
+        """Whether the kept elements, and the negated explanandum if `refute_phi`, have a model."""
+        n, first = len(self.elements), self._selectors
+        if self._solver is None:
+            phi = self.phi.literals if self.phi is not None else ()
+            index = _atom_index([*self.ground_of.values(), phi])
+            self._selectors = first = len(index) + 1
+            clauses = [[-(first + i), *clause] for i, g in self.ground_of.items()
+                       for clause in _clausify(g, index)]
+            negated = sorted({(index[l.atom] + 1) * (1 if l.negated else -1) for l in phi})
+            if negated and not any(-l in negated for l in negated):  # else a tautology
+                clauses.append([-(first + n), *negated])
+            self._solver = _Solver(clauses)
+        assumptions = [first + i if i in indices else -(first + i) for i in range(n)]
+        assumptions.append(first + n if refute_phi else -(first + n))
+        return self._solver.solve(assumptions) is not None
 
     def consistent(self, indices: frozenset[int]) -> bool:
-        cached = self._consistency.get(indices)
-        if cached is None:
-            cached = is_consistent(self._formulas(indices))
-            self._consistency[indices] = cached
+        if (cached := self._consistency.get(indices)) is None:
+            cached = self._consistency[indices] = self._satisfiable(indices, False)
         return cached
 
     def entails_phi(self, indices: frozenset[int]) -> bool:
         assert self.phi is not None
-        cached = self._entailment.get(indices)
-        if cached is None:
-            cached = entails(self._formulas(indices), self.phi.literals)
-            self._entailment[indices] = cached
+        if (cached := self._entailment.get(indices)) is None:
+            cached = self._entailment[indices] = not self._satisfiable(indices, True)
         return cached
 
     def kernel_indices(self) -> Iterator[frozenset[int]]:

@@ -21,8 +21,9 @@ from revisekit import (
 
 @pytest.fixture
 def sat_calls(monkeypatch) -> Counter:
-    """Counts the SAT calls made through `revision`, which every operator's
-    subset checks go through, by function name."""
+    """Counts the SAT calls made through `revision`, by function name.  A
+    union context's subset check is one solve of its own solver, counted as
+    `is_consistent` or, with the explanandum refuted, as `entails`."""
     from revisekit import revision
 
     calls: Counter = Counter()
@@ -31,6 +32,13 @@ def sat_calls(monkeypatch) -> Counter:
             calls[_name] += 1
             return _inner(*args, **kwargs)
         monkeypatch.setattr(revision, name, counted)
+
+    satisfiable = revision._UnionContext._satisfiable
+
+    def counted_check(self, indices, refute_phi):
+        calls["entails" if refute_phi else "is_consistent"] += 1
+        return satisfiable(self, indices, refute_phi)
+    monkeypatch.setattr(revision._UnionContext, "_satisfiable", counted_check)
     return calls
 
 

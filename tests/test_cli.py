@@ -180,6 +180,13 @@ class TestRevise:
         assert out.count("enter a number between") == 2
         assert "B.f1: Wor(charlie)" in out
 
+    def test_interactive_end_of_input_exit_1(self, base_file, expl_file, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        code = cli.main(["revise", str(base_file), str(expl_file), "!Ins(charlie)",
+                         "--interactive"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: input ended before a correction set was selected\n"
+
     def test_falappa_flags_violation(self, tmp_path, capsys):
         base = tmp_path / "b.rk"
         expl = tmp_path / "e.rk"
@@ -210,6 +217,14 @@ class TestRevise:
         # an explicit flag beats the environment
         assert cli.main(["revise", str(base_file), str(expl_file), "!Ins(charlie)",
                          "--max-ground=24"]) == 0
+
+    @pytest.mark.parametrize("flag, env", [(["--max-ground", "-3"], None), ([], "-3")])
+    def test_negative_cap_exit_1(self, base_file, expl_file, capsys, monkeypatch, flag, env):
+        if env is not None:
+            monkeypatch.setenv("REVISEKIT_MAX_GROUND", env)
+        code = cli.main(["revise", str(base_file), str(expl_file), "!Ins(charlie)", *flag])
+        assert code == 1
+        assert capsys.readouterr().err == "error: the ground cap must not be negative, got -3\n"
 
 
 class TestKernels:

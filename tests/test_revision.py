@@ -82,21 +82,28 @@ class TestValidateExplanation:
         report = validate_explanation(parse_base("Wor(diana)."), phi_of("!Ins(charlie)"))
         assert not report.entails_explanandum
 
+    @staticmethod
+    def _minimal_over_all_subsets(e, phi):
+        """Minimality quantified over every proper subset of the explanation."""
+        sig = collect_signature([e, phi.literals])
+        statements = e.statements
+        return not any(
+            entails([gf for st in subset for gf in ground_formula(st.formula, sig)], phi.literals)
+            for size in range(len(statements)) for subset in combinations(statements, size))
+
     def test_single_removal_equals_exhaustive(self):
         rng = random.Random(31)
         for trial in range(40):
             _, e, phi = random_instance(GeneratorParams(seed=500 + trial))
             fast = validate_explanation(e, phi)
-            slow = validate_explanation(e, phi, exhaustive=True)
-            assert fast.minimal == slow.minimal
+            assert fast.minimal == self._minimal_over_all_subsets(e, phi)
             # also probe non-minimal explanations built by padding
             padded_formulas = list(e.formulas)
             extra = parse_base("Pad(zz).").formulas[0]
             if str(extra) not in e.canonical_forms():
                 padded = BeliefBase.from_formulas(padded_formulas + [extra])
                 fast_p = validate_explanation(padded, phi)
-                slow_p = validate_explanation(padded, phi, exhaustive=True)
-                assert fast_p.minimal == slow_p.minimal
+                assert fast_p.minimal == self._minimal_over_all_subsets(padded, phi)
                 assert not fast_p.minimal
 
 
@@ -247,14 +254,14 @@ class TestMonotonePruning:
         sets = list(correction_kernel(parse_base(PRUNING_BASE), parse_base("!Q(a).")))
         assert len(sets) == 959
         # the whole union, ten singletons, and the subsets of the six facts
-        assert sat_calls["is_consistent"] <= 2 ** 6 + 4 + 1
+        assert 0 < sat_calls["is_consistent"] <= 2 ** 6 + 4 + 1
 
     def test_max_cardinality_entailment_calls(self, sat_calls):
         result = revise(parse_base(PRUNING_BASE), parse_base("!Q(a)."), phi_of("!Q(a)"),
                         SelectionStrategy("max-cardinality"))
         assert result.revised.canonical_forms() == {"!Q(a)"}
         # validate_explanation's two, the explanation alone, and `!Q(a)` removed
-        assert sat_calls["entails"] <= 4
+        assert 0 < sat_calls["entails"] <= 4
 
     @pytest.mark.parametrize("kind, consistency, entailment", [
         ("max-cardinality", 8, None),
@@ -265,9 +272,9 @@ class TestMonotonePruning:
         # listing every admissible set made 69 consistency calls here
         revise(parse_base(PRUNING_BASE), parse_base("!Q(a)."), phi_of("!Q(a)"),
                SelectionStrategy(kind))
-        assert sat_calls["is_consistent"] <= consistency
+        assert 0 < sat_calls["is_consistent"] <= consistency
         if entailment is not None:
-            assert sat_calls["entails"] <= entailment
+            assert 0 < sat_calls["entails"] <= entailment
 
 
 def _brute_force_msses(b, e):
@@ -307,6 +314,84 @@ class TestMssesAndMuses:
         msses, muses = ctx.msses_and_muses()
         assert self._forms(ctx, msses) == [frozenset({"Ins(charlie)", "Wor(charlie)"})]
         assert muses == []
+
+
+TAUTOLOGICAL_RULE = "P(X) & Q(Y) -> Q(X)"  # its instances with X = Y are tautologies
+SHARED_INSTANCE = ("P(X) -> Q(X)", "P(a) -> Q(a)")
+SELECTOR_POOL = ("P(a)", "!P(a)", "P(b)", "Q(b)", "!Q(a)", "R(a)", "!R(b)",
+                 "Q(X) & R(X) -> !P(X)", "R(X) -> !Q(X)", TAUTOLOGICAL_RULE, *SHARED_INSTANCE)
+
+
+def _selector_cases(seed: int, trials: int):
+    """Seeded unions of one to eight pool formulas split between base and
+    explanation, each with a one- or two-literal explanandum over P, Q, R and
+    S, a predicate no pool formula mentions."""
+    rng = random.Random(seed)
+    atoms = [f"{p}({c})" for p in "PQRS" for c in "ab"]
+    for _ in range(trials):
+        chosen = [f + "." for f in rng.sample(SELECTOR_POOL, rng.randint(1, 8))]
+        split = rng.randint(0, len(chosen))
+        b, e = parse_base(" ".join(chosen[:split])), parse_base(" ".join(chosen[split:]))
+        lits = rng.sample(atoms, rng.randint(1, 2))
+        yield b, e, phi_of(" & ".join(("!" if rng.random() < 0.4 else "") + a for a in lits))
+
+
+def _subset_formulas(ctx, sig, kept):
+    return [gf for i in sorted(kept) for gf in ground_formula(ctx.elements[i].formula, sig)]
+
+
+class TestSelectorChecks:
+    """A context decides every subset check on one selector-guarded solver;
+    each answer must equal a fresh check on the subset's ground formulas."""
+
+    def test_every_subset_matches_fresh_checks_and_models(self):
+        features = set()
+        for b, e, phi in _selector_cases(71, 40):
+            ctx = _UnionContext(b, e, phi, 64)
+            sig = collect_signature([b, e, phi.literals])
+            n = len(ctx.elements)
+            # each model of the Herbrand base: the elements it satisfies, and whether it satisfies phi
+            profiles = {(frozenset(i for i, el in enumerate(ctx.elements)
+                                   if all(m.satisfies(gf) for gf in ground_formula(el.formula, sig))),
+                         all(m.satisfies(lit) for lit in phi))
+                        for m in enumerate_models([], sig)}
+            for size in range(n + 1):
+                for combo in combinations(range(n), size):
+                    kept = frozenset(combo)
+                    formulas = _subset_formulas(ctx, sig, kept)
+                    consistent = is_consistent(formulas)
+                    assert consistent == any(kept <= sat for sat, _ in profiles)
+                    assert ctx.consistent(kept) == consistent
+                    entailed = entails(formulas, phi.literals)
+                    assert entailed == all(ok for sat, ok in profiles if kept <= sat)
+                    assert ctx.entails_phi(kept) == entailed
+            names = {el.canonical() for el in ctx.elements}
+            features.add(n)
+            features.add("inconsistent" if not ctx.consistent(frozenset(range(n))) else "consistent")
+            if TAUTOLOGICAL_RULE in names:
+                features.add("tautology")
+            if names.issuperset(SHARED_INSTANCE):
+                features.add("shared")
+            if any(lit.atom.predicate == "S" for lit in phi):
+                features.add("unmentioned")
+        assert features >= {8, "consistent", "inconsistent", "tautology", "shared", "unmentioned"}
+
+    def test_shuffled_mixed_queries_on_one_context(self):
+        rng = random.Random(72)
+        for b, e, phi in _selector_cases(73, 30):
+            ctx = _UnionContext(b, e, phi, 64)
+            sig = collect_signature([b, e, phi.literals])
+            n = len(ctx.elements)
+            queries = [(frozenset(combo), entailment)
+                       for size in range(n + 1) for combo in combinations(range(n), size)
+                       for entailment in (False, True)]
+            rng.shuffle(queries)
+            for kept, entailment in queries:
+                formulas = _subset_formulas(ctx, sig, kept)
+                if entailment:
+                    assert ctx.entails_phi(kept) == entails(formulas, phi.literals)
+                else:
+                    assert ctx.consistent(kept) == is_consistent(formulas)
 
 
 DIRECT_KINDS = ("max-cardinality", "protect-explanation", "weighted")
