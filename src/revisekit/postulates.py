@@ -10,6 +10,9 @@ Reversion is only checkable for strategies that are pure functions of the
 canonical candidate list; the generator builds dedicated instance pairs with
 different explanations but identical unions (hence identical kernels) to give
 the check real bite.
+
+A trial grounds its union once, for the operator: the generator only counts
+it, and the checks ground on their own (see check_postulates).
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass, replace as _replace
 from typing import Mapping
 
 from .errors import (
-    CapExceeded,
     EmptyUniverse,
     GenerationFailed,
     InvalidExplanation,
@@ -55,7 +57,8 @@ from .revision import (
     RevisionResult,
     SelectionStrategy,
     _UnionContext,
-    correction_kernel,
+    _ground_size,
+    _revise,
     revise,
     union_elements,
     validate_explanation,
@@ -98,10 +101,6 @@ class PostulateReport:
         return dict(self.results)
 
 
-def _permuted(base: BeliefBase) -> BeliefBase:
-    return BeliefBase(tuple(reversed(base.statements)))
-
-
 def check_postulates(base: BeliefBase, explanation: BeliefBase, phi: Explanandum,
                      result: RevisionResult, cap: int = DEFAULT_CAP,
                      strategy: SelectionStrategy | None = None) -> PostulateReport:
@@ -112,24 +111,32 @@ def check_postulates(base: BeliefBase, explanation: BeliefBase, phi: Explanandum
     the strategy is a pure function of the candidate list and is recoverable
     (pass `strategy` to cover weighted selections); otherwise it is vacuously
     true here and check_reversion covers the interesting cases.
+
+    Each union element is grounded once, on this function's own signature; the
+    checks are fresh SAT calls and the rerun a full `revise`.
     """
     sig = collect_signature([base, explanation, phi.literals])
     union = union_elements(base, explanation)
-    union_forms = {el.canonical() for el in union}
-    union_ground = [gf for el in union for gf in ground_formula(el.formula, sig)]
-    union_consistent = is_consistent(union_ground)
+    grounded = {el.canonical(): ground_formula(el.formula, sig) for el in union}
+    union_forms = frozenset(grounded)
 
-    revised_ground = ground(result.revised, sig).formulas
+    def grounding(statements) -> tuple:  # as `ground`; a formula outside the union fails inclusion
+        return tuple(dict.fromkeys(gf for st in statements for gf in (
+            grounded.get(st.canonical()) or ground_formula(st.formula, sig))))
+
+    union_consistent = is_consistent(grounding(union))
+
+    revised_ground = grounding(result.revised.statements)
     revised_forms = result.revised.canonical_forms()
 
     inclusion = revised_forms <= union_forms
     vacuity = (not union_consistent) or (
-        revised_forms == frozenset(union_forms) and not result.retracted.elements
+        revised_forms == union_forms and not result.retracted.elements
     )
     consistency = union_consistent or is_consistent(revised_ground)
     strong = entails(revised_ground, phi.literals)
-    base_ground = ground(base, sig).formulas
-    rejects_phi = not is_consistent(tuple(base_ground) + phi.literals)
+    base_ground = grounding(base.statements)
+    rejects_phi = not is_consistent(base_ground + phi.literals)
     constrained = rejects_phi or strong
     unconstrained = (not rejects_phi) or strong
 
@@ -139,7 +146,8 @@ def check_postulates(base: BeliefBase, explanation: BeliefBase, phi: Explanandum
                                                       SEEDED_RANDOM):
         rerun_strategy = SelectionStrategy(result.strategy, seed=result.seed)
     if rerun_strategy is not None and rerun_strategy.kind in CANDIDATE_PURE_KINDS:
-        rerun = revise(base, _permuted(explanation), phi, rerun_strategy, cap)
+        permuted = BeliefBase(tuple(reversed(explanation.statements)))
+        rerun = revise(base, permuted, phi, rerun_strategy, cap)
         reversion = rerun.retracted.canonical_forms() == result.retracted.canonical_forms()
 
     results = (
@@ -180,6 +188,8 @@ def check_reversion(base: BeliefBase, explanation: BeliefBase,
     Returns vacuously true when the antecedent fails.  Strategies that are not
     pure functions of the candidate list cannot be checked and raise
     NonDeterministicStrategy.
+
+    Each side lists its kernel and is revised on one union context.
     """
     if strategy.kind not in CANDIDATE_PURE_KINDS:
         raise NonDeterministicStrategy(
@@ -193,13 +203,14 @@ def check_reversion(base: BeliefBase, explanation: BeliefBase,
     union2 = {el.canonical() for el in union_elements(base, explanation2)}
     if union1 != union2:
         return True
-    kernel1 = {cs.canonical_forms() for cs in correction_kernel(base, explanation, cap)}
-    kernel2 = {cs.canonical_forms() for cs in correction_kernel(base, explanation2, cap)}
-    if kernel1 != kernel2:
+    # equal canonical unions sort identically, so equal indices name equal formulas
+    ctx1 = _UnionContext(base, explanation, phi, cap)
+    ctx2 = _UnionContext(base, explanation2, phi, cap)
+    if set(ctx1.kernel_indices()) != set(ctx2.kernel_indices()):
         return True
 
-    first = revise(base, explanation, phi, strategy, cap)
-    second = revise(base, explanation2, phi, strategy, cap)
+    first = _revise(ctx1, strategy)
+    second = _revise(ctx2, strategy)
     return first.retracted.canonical_forms() == second.retracted.canonical_forms()
 
 
@@ -309,7 +320,7 @@ def random_instance(params: GeneratorParams,
         base = _random_base(rng, params, predicates, constants)
         if base is None:
             continue
-        sig = collect_signature([base, _all_constants(constants)])
+        sig = collect_signature([base, Signature(tuple(constants))])
         formulas = ground(base, sig).formulas
         index = _atom_index([formulas])
         solver = _Solver(_clausify(formulas, index))
@@ -322,19 +333,15 @@ def random_instance(params: GeneratorParams,
         explanation = _explanation_for(rng, phi, predicates, constants)
         if not validate_explanation(explanation, phi).valid:
             continue
+        union = union_elements(base, explanation)
         try:
-            ctx = _UnionContext(base, explanation, phi, cap)
-        except (CapExceeded, EmptyUniverse):
+            size = _ground_size(union, collect_signature([base, explanation, phi.literals]))
+        except EmptyUniverse:
             continue
-        if len(ctx.elements) > 9:
+        if size > cap or len(union) > 9:
             continue
         return base, explanation, phi
     raise GenerationFailed(f"no instance within {_MAX_ATTEMPTS} attempts for seed {params.seed}")
-
-
-def _all_constants(constants: list[str]) -> list[Literal]:
-    # anchor every generator constant into the signature via throwaway literals
-    return [Literal(Atom("anchor", (Term(c),))) for c in constants]
 
 
 def _pick_explanandum(rng: random.Random, sig: Signature, solver: _Solver,
@@ -347,7 +354,7 @@ def _pick_explanandum(rng: random.Random, sig: Signature, solver: _Solver,
     complement, and it entails nothing about an atom it never mentions.
     """
     conflict = rng.random() < 0.55
-    atoms = [a for a in sig.herbrand_atoms() if a.predicate != "anchor"]
+    atoms = list(sig.herbrand_atoms())
     rng.shuffle(atoms)
     if conflict:
         for atom in atoms:
@@ -492,7 +499,8 @@ def check_propositions(params: GeneratorParams, trials: int,
         strategy = _ROTATION[trial % len(_ROTATION)]
         if strategy.kind == SEEDED_RANDOM:
             strategy = SelectionStrategy(SEEDED_RANDOM, seed=seed)
-        result = revise(base, explanation, phi, strategy, cap)
+        # no revalidation: generated explanations are valid (test_explanations_always_valid)
+        result = _revise(_UnionContext(base, explanation, phi, cap), strategy)
         if not result.union_consistent:
             inconsistent_unions += 1
         report = check_postulates(base, explanation, phi, result, cap, strategy=strategy)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from itertools import chain, combinations, islice
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from .errors import CapExceeded, InvalidExplanation, NoCandidates
+from .errors import CapExceeded, EmptyUniverse, InvalidExplanation, NoCandidates
 from .logic import (
     DEFAULT_CAP,
     BeliefBase,
@@ -183,11 +183,22 @@ class CorrectionSet:
 EMPTY_CORRECTION = CorrectionSet(())
 
 
+def _ground_size(elements: Sequence[UnionElement], sig: Signature) -> int:
+    """The count of `ground_formula` over the elements, made without grounding."""
+    total = 0
+    for el in elements:
+        k = 0 if isinstance(el.formula, Literal) else len(el.formula.variables())
+        if k and not sig.constants:
+            raise EmptyUniverse(f"rule {el.formula} has variables but the universe is empty")
+        total += len(sig.constants) ** k
+    return total
+
+
 class _UnionContext:
     """Grounds and sizes a union once for every operator, and decides its
     subset consistency/entailment checks, memoized, on one solver built by the
     first check.  The ground size capped is the sum of every element's ground
-    instances, duplicates included.
+    instances, duplicates included, and is checked before anything is grounded.
 
     Selector variables follow the atoms: each clause of element i starts with
     !s_i, and the negated explanandum with !s_phi, so the search sees a
@@ -198,17 +209,13 @@ class _UnionContext:
 
     def __init__(self, base: BeliefBase, explanation: BeliefBase,
                  phi: Explanandum | None, cap: int):
-        parts: list[object] = [base, explanation]
-        if phi is not None:
-            parts.append(phi.literals)
-        self.sig = collect_signature(parts)
+        self.sig = collect_signature([base, explanation, phi.literals if phi is not None else ()])
         self.elements = union_elements(base, explanation)
+        if (total := _ground_size(self.elements, self.sig)) > cap:
+            raise CapExceeded(total, cap, "ground formulas")
         self.ground_of: dict[int, tuple[GroundFormula, ...]] = {
             i: ground_formula(el.formula, self.sig) for i, el in enumerate(self.elements)
         }
-        total = sum(len(g) for g in self.ground_of.values())
-        if total > cap:
-            raise CapExceeded(total, cap, "ground formulas")
         self._consistency: dict[frozenset[int], bool] = {}
         self._entailment: dict[frozenset[int], bool] = {}
         self.phi = phi

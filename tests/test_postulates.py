@@ -1,6 +1,8 @@
 import pytest
 
 from revisekit import (
+    BeliefBase,
+    CorrectionSet,
     GeneratorParams,
     InvalidExplanation,
     NonDeterministicStrategy,
@@ -8,15 +10,21 @@ from revisekit import (
     check_postulates,
     check_propositions,
     check_reversion,
+    collect_signature,
+    entails,
+    ground,
+    is_consistent,
     parse_base,
     parse_literals,
     random_instance,
     revise,
+    union_elements,
     validate_explanation,
 )
-from revisekit.postulates import POSTULATE_NAMES, baseline_fixture, reversion_pair
-from revisekit.revision import Explanandum
-from revisekit import falappa
+from revisekit.logic import ground_formula
+from revisekit.postulates import _ROTATION, POSTULATE_NAMES, baseline_fixture, reversion_pair
+from revisekit.revision import CANDIDATE_PURE_KINDS, Explanandum, RevisionResult
+from revisekit import falappa, revision
 
 
 def phi_of(text):
@@ -62,6 +70,62 @@ class TestCheckPostulates:
         assert report.holds("unconstrained-acceptance")
         assert report.holds("constrained-acceptance")
 
+    def test_equals_grounding_each_base_separately(self):
+        # every rotation strategy, plus the baseline operator, whose results
+        # can fail strong acceptance
+        failing = set()
+        for seed in range(200):
+            base, explanation, phi = random_instance(GeneratorParams(seed=seed))
+            baseline = falappa.revise_falappa(base, explanation,
+                                              falappa.IncisionPolicy("min-hitting-set"))
+            ctx = revision._UnionContext(base, explanation, phi, 24)  # valid, as in the suite
+            runs = [(revision._revise(ctx, s), s) for s in _ROTATION]
+            for result, strategy in runs + [(baseline, None)]:
+                report = check_postulates(base, explanation, phi, result, strategy=strategy)
+                assert report.results == _grounding_each_base(base, explanation, phi,
+                                                              result, strategy)
+                assert tuple(name for name, _ in report.witnesses) == report.failing
+                failing.update(report.failing)
+        assert "strong-acceptance" in failing
+
+    def test_revised_formula_outside_union_fails_inclusion(
+            self, charlie_base, charlie_explanation, charlie_phi):
+        revised = parse_base("!Ins(charlie). Cop(X) -> !Ins(X).")
+        result = RevisionResult(revised, CorrectionSet(()), False, "protect-explanation")
+        report = check_postulates(charlie_base, charlie_explanation, charlie_phi, result)
+        assert not report.holds("inclusion")
+        assert report.holds("strong-acceptance")
+        assert "Cop(X) -> !Ins(X)" in dict(report.witnesses)["inclusion"]
+
+
+def _grounding_each_base(base, explanation, phi, result, strategy):
+    """The seven results as computed by grounding the union, the revised base
+    and the base each on their own, with `ground`."""
+    sig = collect_signature([base, explanation, phi.literals])
+    union = union_elements(base, explanation)
+    union_forms = {el.canonical() for el in union}
+    union_consistent = is_consistent(
+        [gf for el in union for gf in ground_formula(el.formula, sig)])
+    revised_ground = ground(result.revised, sig).formulas
+    revised_forms = result.revised.canonical_forms()
+    strong = entails(revised_ground, phi.literals)
+    rejects_phi = not is_consistent(ground(base, sig).formulas + phi.literals)
+    reversion = True
+    if strategy is not None and strategy.kind in CANDIDATE_PURE_KINDS:
+        permuted = BeliefBase(tuple(reversed(explanation.statements)))
+        rerun = revise(base, permuted, phi, strategy)
+        reversion = rerun.retracted.canonical_forms() == result.retracted.canonical_forms()
+    return (
+        ("inclusion", revised_forms <= union_forms),
+        ("vacuity", not union_consistent or (
+            revised_forms == frozenset(union_forms) and not result.retracted.elements)),
+        ("consistency", union_consistent or is_consistent(revised_ground)),
+        ("reversion", reversion),
+        ("constrained-acceptance", rejects_phi or strong),
+        ("unconstrained-acceptance", not rejects_phi or strong),
+        ("strong-acceptance", strong),
+    )
+
 
 class TestCheckReversion:
     def test_identical_explanations(self, charlie_base, charlie_explanation, charlie_phi):
@@ -102,6 +166,24 @@ class TestCheckReversion:
         with pytest.raises(InvalidExplanation):
             check_reversion(charlie_base, bad, bad, charlie_phi,
                             SelectionStrategy("min-cardinality"))
+
+    def test_universe_from_explanandum(self):
+        # No base or explanation formula names a constant; the explanandum
+        # does, and revision grounds over it, so the kernels are listed over
+        # it too instead of failing with EmptyUniverse.
+        base = parse_base("Q(X) -> P(X).")
+        e1 = parse_base("R(X) -> P(X). !R(X) -> P(X).")
+        e2 = parse_base("!R(X) -> P(X). R(X) -> P(X).")
+        assert check_reversion(base, e1, e2, phi_of("P(c)"),
+                               SelectionStrategy("min-cardinality"))
+
+    def test_sat_calls_pinned(self, sat_calls):
+        # Each side is validated, listed and revised on one context; the
+        # revision of a side reuses the consistency answers of its listing.
+        base, e1, e2, phi = reversion_pair(0)
+        assert check_reversion(base, e1, e2, phi, SelectionStrategy("min-cardinality"))
+        assert sat_calls["is_consistent"] > 0 and sat_calls["entails"] > 0
+        assert sat_calls == {"is_consistent": 30, "entails": 10}
 
 
 class TestRandomInstance:
@@ -166,6 +248,21 @@ class TestCheckPropositions:
         report = check_propositions(params, 1, cap=12)
         assert report.trials == 1
         assert report.ok
+
+    def test_one_context_per_revision(self, monkeypatch):
+        # 7 primary revisions, 6 reversion reruns inside check_postulates
+        # (protect-explanation has none), 2 for the reversion pair of trial 0
+        # and 3 for the baseline fixture; the generator sizes without one.
+        built = []
+        init = revision._UnionContext.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(revision._UnionContext, "__init__", counted)
+        check_propositions(GeneratorParams(seed=0), trials=7)
+        assert len(built) > 0
+        assert len(built) == 18
 
     def test_report_serializes(self):
         report = check_propositions(GeneratorParams(seed=3), trials=10)

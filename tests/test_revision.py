@@ -4,12 +4,18 @@ from itertools import combinations
 import pytest
 
 from revisekit import (
+    Atom,
     BeliefBase,
     CapExceeded,
+    EmptyUniverse,
     Explanandum,
     InvalidExplanation,
+    Literal,
     NoCandidates,
+    Rule,
     SelectionStrategy,
+    Signature,
+    Term,
     admissible_selections,
     collect_signature,
     correction_kernel,
@@ -25,8 +31,9 @@ from revisekit import (
     union_elements,
     validate_explanation,
 )
+from revisekit import revision
 from revisekit.logic import ground_formula
-from revisekit.revision import _UnionContext
+from revisekit.revision import _UnionContext, _ground_size
 from revisekit.postulates import GeneratorParams, random_instance
 
 RULE = "Wor(charlie) -> Ins(charlie)"
@@ -392,6 +399,74 @@ class TestSelectorChecks:
                     assert ctx.entails_phi(kept) == entails(formulas, phi.literals)
                 else:
                     assert ctx.consistent(kept) == is_consistent(formulas)
+
+
+def _sizing_unions(seed: int, trials: int):
+    """Seeded unions of one to six formulas over p/0, q/1 and r/2 and zero to
+    three constants: ground facts, variable-free rules and rules over X and Y,
+    with a signature that may also hold constants no formula mentions."""
+    rng = random.Random(seed)
+    predicates = (("p", 0), ("q", 1), ("r", 2))
+    for _ in range(trials):
+        constants = [f"c{i}" for i in range(rng.randint(0, 3))]
+
+        def literal(terms):
+            name, arity = rng.choice([p for p in predicates if terms or not p[1]])
+            return Literal(Atom(name, tuple(Term(rng.choice(terms)) for _ in range(arity))),
+                           rng.random() < 0.3)
+
+        formulas = []
+        for _ in range(rng.randint(1, 6)):
+            if rng.random() < 0.3:
+                formulas.append(literal(constants))
+                continue
+            body = tuple(literal(rng.choice((["X"], ["X", "Y"], [])) + constants)
+                         for _ in range(rng.randint(1, 2)))
+            bound = sorted(set().union(*(lit.variables() for lit in body)))
+            formulas.append(Rule(body, literal(bound + constants)))
+        unique = list(dict.fromkeys(formulas))
+        split = rng.randint(0, len(unique))
+        elements = union_elements(BeliefBase.from_formulas(unique[:split]),
+                                  BeliefBase.from_formulas(unique[split:]))
+        extra = Signature(tuple(constants[:rng.randint(0, len(constants))]))
+        yield elements, collect_signature([unique, extra])
+
+
+class TestGroundSize:
+    """The cap counts a union's ground formulas without grounding it: the
+    count must be what grounding every element gives, and fail as it fails."""
+
+    def test_equals_grounded_count(self):
+        features = set()
+        for elements, sig in _sizing_unions(81, 300):
+            try:
+                expected = sum(len(ground_formula(el.formula, sig)) for el in elements)
+            except EmptyUniverse as err:
+                with pytest.raises(EmptyUniverse) as raised:
+                    _ground_size(elements, sig)
+                assert str(raised.value) == str(err)
+                features.add("empty universe")
+                continue
+            assert _ground_size(elements, sig) == expected
+            features.update(len(el.formula.variables()) for el in elements
+                            if isinstance(el.formula, Rule))
+            if any("r(" in el.canonical() for el in elements):
+                features.add("arity 2")
+            if not sig.constants:
+                features.add("no constants")
+        assert features >= {0, 1, 2, "arity 2", "no constants", "empty universe"}
+
+    def test_cap_checked_before_grounding(self, monkeypatch, alice_base, coping_explanation):
+        grounded = []
+        inner = revision.ground_formula
+        monkeypatch.setattr(revision, "ground_formula",
+                            lambda *args: grounded.append(args) or inner(*args))
+        phi = phi_of("!Ins(charlie)")
+        with pytest.raises(CapExceeded, match="^7 ground formulas exceed the configured cap of 6$"):
+            _UnionContext(alice_base, coping_explanation, phi, 6)
+        assert grounded == []
+        _UnionContext(alice_base, coping_explanation, phi, 7)
+        assert len(grounded) == 5
 
 
 DIRECT_KINDS = ("max-cardinality", "protect-explanation", "weighted")
