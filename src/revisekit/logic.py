@@ -8,8 +8,14 @@ classically on the resulting ground formulas.
 
 Two engines are kept deliberately independent:
 
-  * `is_consistent` / `entails` / `consequences` clausify the ground
-    formulas and decide them with a `_Solver`.  It builds the occurrence
+  * `is_consistent` / `entails` / `consequences` and the union contexts of
+    `revision` decide integer clauses with a `_Solver`.  They never build the
+    ground formulas: each formula is compiled once per call into literal
+    templates (an atom's text with a slot per variable, and the literal's
+    sign in the clause), whose instances over the constants are tuples of
+    (atom text, sign) pairs (`_instances`).  `_index` numbers the atom texts
+    in sorted order and `_clauses` turns the instances into sorted integer
+    clauses, skipping tautological ones.  The solver builds the occurrence
     lists once per clause set and propagates the unit clauses once, at the
     root; each query is then a complete iterative search under a list of
     assumption literals (unit propagation, an explicit trail and
@@ -17,9 +23,10 @@ Two engines are kept deliberately independent:
     recursion depth.  `is_consistent` and `entails` ask one query
     (`_solve`); `consequences` asks one solver for every backbone
     candidate, with the candidate's complement as the assumption;
-  * `enumerate_models` evaluates the formulas semantically over every
-    interpretation of the Herbrand base, and serves as the brute-force oracle
-    the first engine is tested against.
+  * `ground_formula` / `ground` build the ground formulas as objects, and
+    `enumerate_models` evaluates them semantically over every
+    interpretation of the Herbrand base.  This object-level path is the
+    brute-force oracle the first engine is tested against.
 
 All types are immutable; all operations are pure functions of their inputs.
 Atoms, literals and rules are identified by their canonical text (`str()`),
@@ -33,7 +40,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import chain, product
+from itertools import product
 from typing import Any, Iterable, Iterator, Mapping, Union
 
 from .errors import ArityMismatch, CapExceeded, EmptyUniverse, InconsistentBase
@@ -369,27 +376,72 @@ def ground(base: BeliefBase, sig: Signature) -> GroundBeliefBase:
         gf for st in base.statements for gf in ground_formula(st.formula, sig))))
 
 
-# --- clausification + complete search -------------------------------------
+# --- grounding straight to clauses ------------------------------------------
+#
+# A ground instance is the tuple of its literals in clause order (the body's,
+# then the head's), each an (atom text, sign in the clause) pair: a body
+# literal enters its rule's clause complemented, a head or a fact as written.
+# The rendering is injective, so equal instances are equal ground formulas,
+# and a fact (one pair) never equals a rule instance (two or more).
 
-def _clausify(formulas: Iterable[GroundFormula], index: Mapping[Atom, int]) -> list[list[int]]:
+Instance = tuple[tuple[str, bool], ...]
+
+
+def _signed(formula: Formula) -> tuple[tuple[Atom, bool], ...]:
+    """The formula's atoms in clause order, each with its sign in the clause."""
+    if isinstance(formula, Literal):
+        return ((formula.atom, not formula.negated),)
+    return (*((lit.atom, lit.negated) for lit in formula.body),
+            (formula.head.atom, not formula.head.negated))
+
+
+def _instance(gf: GroundFormula) -> Instance:
+    return tuple((atom._text, sign) for atom, sign in _signed(gf))
+
+
+def _instances(formula: Formula, sig: Signature) -> list[Instance]:
+    """The instances of `ground_formula(formula, sig)`, in its order, without
+    building them: each atom compiles to a template of its text with a `{i}`
+    slot for the i-th variable in sorted order, filled once per binding."""
+    if isinstance(formula, Literal):
+        return [_instance(formula)]
+    variables = sorted(formula.variables())
+    if not variables:
+        return [_instance(formula)]
+    if not sig.constants:
+        raise EmptyUniverse(f"rule {formula} has variables but the universe is empty")
+    slot = {name: f"{{{i}}}" for i, name in enumerate(variables)}
+    # rendered as `Atom` renders its text; identifiers hold no braces
+    templates = [(atom.predicate + "(" + ", ".join(slot.get(t.name, t.name) for t in atom.args) + ")"
+                  if atom.args else atom.predicate, sign)
+                 for atom, sign in _signed(formula)]
+    return [tuple([(text.format(*combo), sign) for text, sign in templates])
+            for combo in product(sig.constants, repeat=len(variables))]
+
+
+def _index(groups: Iterable[Iterable[Instance]], extra: Iterable[str] = ()) -> dict[str, int]:
+    """The atom texts of the instances, and `extra`, numbered 1, 2, ... in sorted order."""
+    texts = set(extra)
+    texts.update(text for group in groups for inst in group for text, _ in inst)
+    return {text: v for v, text in enumerate(sorted(texts), 1)}
+
+
+def _clauses(instances: Iterable[Instance], index: Mapping[str, int]) -> list[list[int]]:
+    """One sorted clause per instance, in order; tautological instances are skipped."""
     clauses = []
-    for gf in formulas:
-        if isinstance(gf, Literal):
-            v = index[gf.atom] + 1
-            clauses.append([-v if gf.negated else v])
-        else:
-            clause = []
-            for lit in gf.body:
-                v = index[lit.atom] + 1
-                clause.append(v if lit.negated else -v)
-            v = index[gf.head.atom] + 1
-            clause.append(-v if gf.head.negated else v)
-            lits = set(clause)
-            if any(-l in lits for l in lits):
-                continue  # tautological instance
-            clauses.append(sorted(lits))
+    for inst in instances:
+        if len(inst) == 1:
+            ((text, sign),) = inst
+            clauses.append([index[text] if sign else -index[text]])
+            continue
+        lits = {index[text] if sign else -index[text] for text, sign in inst}
+        if any(-l in lits for l in lits):
+            continue  # tautological instance
+        clauses.append(sorted(lits))
     return clauses
 
+
+# --- complete search --------------------------------------------------------
 
 def _propagate(occurs: Mapping[int, list[list[int]]], true: set[int],
                trail: list[int], head: int) -> bool:
@@ -517,26 +569,18 @@ def _solve(clauses: list[list[int]]) -> set[int] | None:
     return _Solver(clauses).solve()
 
 
-def _atoms(formulas: Iterable[GroundFormula]) -> set[Atom]:
-    atoms: set[Atom] = set()
-    for gf in formulas:
-        if isinstance(gf, Literal):
-            atoms.add(gf.atom)
-        else:
-            atoms.update(lit.atom for lit in gf.body)
-            atoms.add(gf.head.atom)
-    return atoms
-
-
-def _atom_index(groups: Iterable[Iterable[GroundFormula]]) -> dict[Atom, int]:
-    return {atom: i for i, atom in enumerate(sorted(_atoms(chain.from_iterable(groups)), key=str))}
+def _base_solver(base: BeliefBase, sig: Signature) -> tuple[_Solver, dict[str, int]]:
+    """One solver over the base's ground instances, duplicates kept once at
+    their first occurrence as `ground` keeps them, and its atom numbering."""
+    instances = dict.fromkeys(inst for st in base.statements for inst in _instances(st.formula, sig))
+    index = _index([instances])
+    return _Solver(_clauses(instances, index)), index
 
 
 def is_consistent(formulas: Iterable[GroundFormula]) -> bool:
     """True iff at least one interpretation satisfies every ground formula."""
-    fs = tuple(formulas)
-    index = _atom_index([fs])
-    return _solve(_clausify(fs, index)) is not None
+    instances = [_instance(gf) for gf in formulas]
+    return _solve(_clauses(instances, _index([instances]))) is not None
 
 
 def _as_literals(phi: Union[Literal, Iterable[Literal]]) -> tuple[Literal, ...]:
@@ -557,10 +601,10 @@ def entails(formulas: Iterable[GroundFormula], phi: Union[Literal, Iterable[Lite
     inconsistent premise set entails everything.
     """
     lits = _as_literals(phi)
-    fs = tuple(formulas)
-    index = _atom_index([fs, lits])
-    clauses = _clausify(fs, index)
-    negated = sorted({(index[l.atom] + 1) * (1 if l.negated else -1) for l in lits})
+    instances = [_instance(gf) for gf in formulas]
+    index = _index([instances], (l.atom._text for l in lits))
+    clauses = _clauses(instances, index)
+    negated = sorted({index[l.atom._text] * (1 if l.negated else -1) for l in lits})
     if not any(-l in negated for l in negated):
         # otherwise phi contains a literal and its complement: its negation is
         # a tautology, so the query reduces to plain unsatisfiability
@@ -571,20 +615,21 @@ def entails(formulas: Iterable[GroundFormula], phi: Union[Literal, Iterable[Lite
 def consequences(base: BeliefBase, sig: Signature) -> frozenset[Literal]:
     """Every ground literal over the signature's Herbrand base that the base entails.
 
-    Computed as the backbone of the ground base: the base is clausified once
-    into one `_Solver`, and one model found; only the literals that model
-    makes true can be entailed.  Each remaining candidate, in canonical atom
-    order, is probed by one search under its complement as an assumption: no
-    model means it is entailed, and a model drops every candidate that model
-    does not make true.  Atoms the base never mentions are free, so only the
-    base's own atoms inside the Herbrand base are probed.
+    Computed as the backbone of the ground base: the base's instances are
+    clausified once into one `_Solver`, and one model found; only the
+    literals that model makes true can be entailed.  Each remaining
+    candidate, in canonical atom order, is probed by one search under its
+    complement as an assumption: no model means it is entailed, and a model
+    drops every candidate that model does not make true.  Atoms the base
+    never mentions are free, so only the base's own atoms inside the
+    Herbrand base are probed.  Only the entailed literals are built: a fact
+    of the base is entailed as stated and returned as the base's own
+    literal, and new atoms over the same constants share one tuple of terms.
 
     Undefined (raises InconsistentBase) when the ground base has no model; a
     consistent base never yields both a literal and its negation.
     """
-    formulas = ground(base, sig).formulas
-    index = _atom_index([formulas])
-    solver = _Solver(_clausify(formulas, index))
+    solver, index = _base_solver(base, sig)
     model = solver.solve()
     if model is None:
         raise InconsistentBase("consequences undefined: base has no model")
@@ -592,18 +637,29 @@ def consequences(base: BeliefBase, sig: Signature) -> frozenset[Literal]:
     predicates = set(sig.predicates)
     constants = set(sig.constants)
     out = []
-    for atom, i in index.items():  # canonical order: the index is sorted by str
-        if (atom.predicate, len(atom.args)) not in predicates:
+    # the literals built here outlive the call (the change measure holds two
+    # sets at once), so each one saved is one fewer for the cyclic GC to track
+    facts = {st.formula.atom._text: st.formula for st in base.statements
+             if isinstance(st.formula, Literal)}
+    terms_of = {text.partition("(")[2]: fact.atom.args for text, fact in facts.items()}
+    for text, v in index.items():  # canonical order: the index is sorted by text
+        predicate, _, rest = text.partition("(")  # the text of Atom(predicate, args)
+        args = rest[:-1].split(", ") if rest else []
+        if (predicate, len(args)) not in predicates:
             continue
-        if not all(t.name in constants for t in atom.args):
+        if not all(a in constants for a in args):
             continue
-        v = i + 1
         lit = v if v in candidates else -v
         if lit not in candidates:
             continue
         other = solver.solve((-lit,))
         if other is None:
-            out.append(Literal(atom, lit < 0))
+            if (fact := facts.get(text)) is not None:
+                out.append(fact)
+                continue
+            if (terms := terms_of.get(rest)) is None:
+                terms = terms_of[rest] = tuple(Term(a) for a in args)
+            out.append(Literal(Atom(predicate, terms), lit < 0))
         else:
             candidates &= other
     return frozenset(out)

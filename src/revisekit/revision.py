@@ -24,13 +24,13 @@ from .logic import (
     DEFAULT_CAP,
     BeliefBase,
     Formula,
-    GroundFormula,
+    Instance,
     Literal,
     Signature,
     Statement,
-    _atom_index,
-    _atoms,
-    _clausify,
+    _clauses,
+    _index,
+    _instances,
     _solve,
     _Solver,
     collect_signature,
@@ -199,6 +199,7 @@ class _UnionContext:
     subset consistency/entailment checks, memoized, on one solver built by the
     first check.  The ground size capped is the sum of every element's ground
     instances, duplicates included, and is checked before anything is grounded.
+    Each element is grounded straight to its instances (`logic._instances`).
 
     Selector variables follow the atoms: each clause of element i starts with
     !s_i, and the negated explanandum with !s_phi, so the search sees a
@@ -213,9 +214,8 @@ class _UnionContext:
         self.elements = union_elements(base, explanation)
         if (total := _ground_size(self.elements, self.sig)) > cap:
             raise CapExceeded(total, cap, "ground formulas")
-        self.ground_of: dict[int, tuple[GroundFormula, ...]] = {
-            i: ground_formula(el.formula, self.sig) for i, el in enumerate(self.elements)
-        }
+        self.instances_of: list[list[Instance]] = [
+            _instances(el.formula, self.sig) for el in self.elements]
         self._consistency: dict[frozenset[int], bool] = {}
         self._entailment: dict[frozenset[int], bool] = {}
         self.phi = phi
@@ -227,11 +227,11 @@ class _UnionContext:
         n, first = len(self.elements), self._selectors
         if self._solver is None:
             phi = self.phi.literals if self.phi is not None else ()
-            index = _atom_index([*self.ground_of.values(), phi])
+            index = _index(self.instances_of, (str(l.atom) for l in phi))
             self._selectors = first = len(index) + 1
-            clauses = [[-(first + i), *clause] for i, g in self.ground_of.items()
-                       for clause in _clausify(g, index)]
-            negated = sorted({(index[l.atom] + 1) * (1 if l.negated else -1) for l in phi})
+            clauses = [[-(first + i), *clause] for i, g in enumerate(self.instances_of)
+                       for clause in _clauses(g, index)]
+            negated = sorted({index[str(l.atom)] * (1 if l.negated else -1) for l in phi})
             if negated and not any(-l in negated for l in negated):  # else a tautology
                 clauses.append([-(first + n), *negated])
             self._solver = _Solver(clauses)
@@ -310,7 +310,8 @@ class _UnionContext:
         atom (a consistent one cannot entail it) or holding one inconsistent."""
         n = len(self.elements)
         everything = frozenset(range(n))
-        mentioning = [{i for i, g in self.ground_of.items() if lit.atom in _atoms(g)}
+        atoms_of = [{text for inst in g for text, _ in inst} for g in self.instances_of]
+        mentioning = [{i for i, atoms in enumerate(atoms_of) if str(lit.atom) in atoms}
                       for lit in self.phi.literals]
         inconsistent: list[frozenset[int]] = []
         for size in range(n - 1, 0, -1):

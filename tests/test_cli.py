@@ -295,6 +295,11 @@ class TestSuite:
         assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
         assert run.stderr.count("\n") == 1
 
+    def test_cap_below_the_reversion_pair_exit_0(self, capsys):
+        # the fixed reversion pair's union has 7 ground formulas; it is skipped
+        assert cli.main(["suite", "--trials=5", "--max-ground=6", "--format=json"]) == 0
+        assert json.loads(capsys.readouterr().out)["trials"] == 5
+
     def test_falappa_informational(self, capsys):
         assert cli.main(["suite", "--trials=10", "--operator=falappa"]) == 0
         assert "informational" in capsys.readouterr().out

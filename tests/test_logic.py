@@ -29,7 +29,7 @@ from revisekit import (
     parse_literals,
 )
 from revisekit import logic
-from revisekit.logic import _Solver, _atom_index, _clausify, _solve
+from revisekit.logic import _Solver, _clauses, _index, _instance, _solve
 from conftest import random_ground_formulas
 
 
@@ -453,7 +453,8 @@ class TestOracleAgreement:
             sig = collect_signature([formulas, [Literal(a) for a in atoms]])
             models = enumerate_models(formulas, sig)
             assert is_consistent(formulas) == bool(models)
-            clauses = _clausify(formulas, _atom_index([formulas]))
+            instances = [_instance(f) for f in formulas]
+            clauses = _clauses(instances, _index([instances]))
             found = _solve(clauses)
             assert (found is None) == (not models)
             if found is not None:

@@ -458,8 +458,8 @@ class TestGroundSize:
 
     def test_cap_checked_before_grounding(self, monkeypatch, alice_base, coping_explanation):
         grounded = []
-        inner = revision.ground_formula
-        monkeypatch.setattr(revision, "ground_formula",
+        inner = revision._instances
+        monkeypatch.setattr(revision, "_instances",
                             lambda *args: grounded.append(args) or inner(*args))
         phi = phi_of("!Ins(charlie)")
         with pytest.raises(CapExceeded, match="^7 ground formulas exceed the configured cap of 6$"):
