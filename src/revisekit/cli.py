@@ -237,14 +237,8 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     report = corpus_mod.corpus_report(args.experiment, strategy, cap)
     if args.format == "json":
         payload = {
-            "rows": [
-                {**row, "change_measure": {
-                    "numerator": row["change_measure"].numerator,
-                    "denominator": row["change_measure"].denominator,
-                    "value": float(round(row["change_measure"].value, 3)),
-                }}
-                for row in report["rows"]
-            ],
+            "rows": [{**row, "change_measure": dsl._measure_json(row["change_measure"])}
+                     for row in report["rows"]],
             "comparisons": [
                 {"id": c["id"], "experiment": c["experiment"],
                  "d_minimal": _fraction_json(c["d_minimal"]),

@@ -29,6 +29,7 @@ from .revision import (
     Explanandum,
     RevisionResult,
     SelectionStrategy,
+    _retract,
     _revise,
     _UnionContext,
     _validated_context,
@@ -76,7 +77,9 @@ def scenario_inputs(entry: CorpusEntry) -> tuple[BeliefBase, BeliefBase, Explana
     return base, BeliefBase.from_formulas(list(entry.scenario.fact)), phi
 
 
-def _pattern_revision(ctx: _UnionContext, entry: CorpusEntry, pattern: str) -> RevisionResult:
+def _pattern_revision(ctx: _UnionContext, pool: Sequence[CorrectionSet], entry: CorpusEntry,
+                      pattern: str) -> RevisionResult:
+    """Retract the admissible pool's first match; a consistent union's pool is empty."""
     scenario = entry.scenario
     if pattern == "minimal":
         matches = frozenset(str(s.formula) for s in scenario.categoricals()).__eq__
@@ -84,23 +87,17 @@ def _pattern_revision(ctx: _UnionContext, entry: CorpusEntry, pattern: str) -> R
         matches = frozenset(str(s.formula) for s in scenario.conditionals()).issuperset
     else:
         raise ValueError(f"unknown pattern {pattern!r}")
-    missing = f"the {pattern} pattern is not admissible for {scenario.id}"
-
-    def chooser(pool: Sequence[CorrectionSet]) -> int:
-        for i, cs in enumerate(pool):
-            if matches(cs.canonical_forms()):
-                return i
-        raise NoCandidates(missing)
-    result = _revise(ctx, SelectionStrategy("interactive", chooser=chooser))
-    if result.union_consistent:
-        raise NoCandidates(missing)
-    return result
+    for cs in pool:
+        if matches(cs.canonical_forms()):
+            return _retract(ctx, cs, "interactive")
+    raise NoCandidates(f"the {pattern} pattern is not admissible for {scenario.id}")
 
 
 def pattern_revision(entry: CorpusEntry, pattern: str,
                      cap: int = DEFAULT_CAP) -> RevisionResult:
     """Replay an entry with a reference retraction pattern, on its own validated context."""
-    return _pattern_revision(_validated_context(*scenario_inputs(entry), cap), entry, pattern)
+    ctx = _validated_context(*scenario_inputs(entry), cap)
+    return _pattern_revision(ctx, list(ctx.admissible()), entry, pattern)
 
 
 def _row(entry: CorpusEntry, run: str, result: RevisionResult) -> dict[str, Any]:
@@ -140,7 +137,8 @@ def corpus_report(experiment: int | None = None,
         ctx = _validated_context(*scenario_inputs(entry), cap)
         if entry.experiment == 2:
             rows.append(_row(entry, f"strategy:{strategy.kind}", _revise(ctx, strategy)))
-        min_row, nonmin_row = [_row(entry, f"pattern:{p}", _pattern_revision(ctx, entry, p))
+        pool = list(ctx.admissible())
+        min_row, nonmin_row = [_row(entry, f"pattern:{p}", _pattern_revision(ctx, pool, entry, p))
                                for p in ("minimal", "non-minimal")]
         rows += [min_row, nonmin_row]
         d_min: Fraction = min_row["change_measure"].value

@@ -8,8 +8,9 @@ classically on the resulting ground formulas.
 
 Two engines are kept deliberately independent:
 
-  * `is_consistent` / `entails` / `consequences` and the union contexts of
-    `revision` decide integer clauses with a `_Solver`.  They never build the
+  * `is_consistent` / `entails` / `consequences` and `_SubsetSolver` (the
+    subset checks of explanation validation and of `revision`'s union
+    contexts) decide integer clauses with a `_Solver`.  They never build the
     ground formulas: each formula is compiled once per call into literal
     templates (an atom's text with a slot per variable, and the literal's
     sign in the clause), whose instances over the constants are tuples of
@@ -41,7 +42,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Any, Iterable, Iterator, Mapping, Union
+from typing import Any, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import ArityMismatch, CapExceeded, EmptyUniverse, InconsistentBase
 
@@ -604,12 +605,57 @@ def entails(formulas: Iterable[GroundFormula], phi: Union[Literal, Iterable[Lite
     instances = [_instance(gf) for gf in formulas]
     index = _index([instances], (l.atom._text for l in lits))
     clauses = _clauses(instances, index)
-    negated = sorted({index[l.atom._text] * (1 if l.negated else -1) for l in lits})
-    if not any(-l in negated for l in negated):
-        # otherwise phi contains a literal and its complement: its negation is
-        # a tautology, so the query reduces to plain unsatisfiability
+    if negated := _refutation(lits, index):
         clauses.append(negated)
     return _solve(clauses) is None
+
+
+def _refutation(lits: Sequence[Literal], index: Mapping[str, int]) -> list[int]:
+    """The sorted clause of the negated conjunction; [] when `lits` is empty or
+    holds a literal and its complement, so refuting it is plain unsatisfiability."""
+    negated = sorted({index[l.atom._text] * (1 if l.negated else -1) for l in lits})
+    return [] if any(-l in negated for l in negated) else negated
+
+
+class _SubsetSolver:
+    """Consistency and entailment checks on subsets of a list of formulas, each
+    grounded in order by `_instances` at construction: every check is one solve
+    of one solver, which the first check builds.
+
+    Selector variables follow the atoms: each clause of formula i starts with
+    !s_i, and the negated explanandum with !s_phi, so the search sees a
+    dropped formula's clause satisfied at its first literal.  A check assumes
+    s_i for each kept formula, !s_i for each dropped one and s_phi only for
+    entailment, so it is one `_Solver.solve` that never branches on a selector
+    (Een & Sorensson, SAT 2003) and answers as a fresh `is_consistent`/`entails`."""
+
+    __slots__ = ("instances", "phi", "_solver", "_selectors")
+
+    def __init__(self, formulas: Iterable[Formula], sig: Signature, phi: Sequence[Literal]):
+        self.instances = [_instances(formula, sig) for formula in formulas]
+        self.phi = phi
+        self._solver: _Solver | None = None
+        self._selectors = 0  # the first selector variable, once the solver is built
+
+    def satisfiable(self, kept: frozenset[int], refute_phi: bool) -> bool:
+        """Whether the kept formulas, and the negated explanandum if `refute_phi`, have a model."""
+        n, first = len(self.instances), self._selectors
+        if self._solver is None:
+            index = _index(self.instances, (l.atom._text for l in self.phi))
+            self._selectors = first = len(index) + 1
+            clauses = [[-(first + i), *clause] for i, g in enumerate(self.instances)
+                       for clause in _clauses(g, index)]
+            if negated := _refutation(self.phi, index):
+                clauses.append([-(first + n), *negated])
+            self._solver = _Solver(clauses)
+        assumptions = [first + i if i in kept else -(first + i) for i in range(n)]
+        assumptions.append(first + n if refute_phi else -(first + n))
+        return self._solver.solve(assumptions) is not None
+
+    def mentioning(self, atom: Atom) -> set[int]:
+        """The positions of the formulas with an instance that mentions the atom."""
+        return {i for i, g in enumerate(self.instances)
+                if any(text == atom._text for inst in g for text, _ in inst)}
 
 
 def consequences(base: BeliefBase, sig: Signature) -> frozenset[Literal]:

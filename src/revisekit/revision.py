@@ -24,20 +24,12 @@ from .logic import (
     DEFAULT_CAP,
     BeliefBase,
     Formula,
-    Instance,
     Literal,
     Signature,
     Statement,
-    _clauses,
-    _index,
-    _instances,
     _solve,
-    _Solver,
+    _SubsetSolver,
     collect_signature,
-    entails,
-    ground,
-    ground_formula,
-    is_consistent,
 )
 
 if TYPE_CHECKING:
@@ -97,31 +89,24 @@ class ExplanationReport:
         return "valid" if not problems else ", ".join(problems)
 
 
-def validate_explanation(
-    explanation: BeliefBase,
-    phi: Explanandum,
-    sig: Signature | None = None,
-) -> ExplanationReport:
-    """Evaluate the three validity conditions on the ground explanation.
+def validate_explanation(explanation: BeliefBase, phi: Explanandum) -> ExplanationReport:
+    """Evaluate the three validity conditions on the ground explanation, over
+    its own signature, each as a subset check of one `_SubsetSolver`.
 
     Minimality is decided by single-element removals, which is equivalent to
     quantifying over all proper subsets by monotonicity of classical
     entailment.
     """
-    if sig is None:
-        sig = collect_signature([explanation, phi.literals])
-    ge = ground(explanation, sig).formulas
-    entails_phi = entails(ge, phi.literals)
-    consistent = is_consistent(ge)
-
-    witnesses: list[tuple[str, ...]] = []
     statements = explanation.statements
-    for removed in statements:
-        subset = [st for st in statements if st is not removed]
-        sub_formulas = [gf for st in subset for gf in ground_formula(st.formula, sig)]
-        if entails(sub_formulas, phi.literals):
-            witnesses.append(tuple(sorted(st.canonical() for st in subset)))
-    return ExplanationReport(entails_phi, consistent, not witnesses, tuple(witnesses))
+    checks = _SubsetSolver([st.formula for st in statements],
+                           collect_signature([explanation, phi.literals]), phi.literals)
+    everything = frozenset(range(len(statements)))
+    entails_phi = not checks.satisfiable(everything, True)
+    consistent = checks.satisfiable(everything, False)
+    witnesses = tuple(tuple(sorted(statements[i].canonical() for i in kept))
+                      for kept in (everything - {i} for i in range(len(statements)))
+                      if not checks.satisfiable(kept, True))
+    return ExplanationReport(entails_phi, consistent, not witnesses, witnesses)
 
 
 @dataclass(frozen=True)
@@ -196,58 +181,31 @@ def _ground_size(elements: Sequence[UnionElement], sig: Signature) -> int:
 
 class _UnionContext:
     """Grounds and sizes a union once for every operator, and decides its
-    subset consistency/entailment checks, memoized, on one solver built by the
-    first check.  The ground size capped is the sum of every element's ground
-    instances, duplicates included, and is checked before anything is grounded.
-    Each element is grounded straight to its instances (`logic._instances`).
-
-    Selector variables follow the atoms: each clause of element i starts with
-    !s_i, and the negated explanandum with !s_phi, so the search sees a
-    dropped element's clause satisfied at its first literal.  A check assumes
-    s_i for each kept element, !s_i for each dropped one and s_phi only for
-    entailment, so it is one `_Solver.solve` that never branches on a selector
-    (Een & Sorensson, SAT 2003) and answers as a fresh `is_consistent`/`entails`."""
+    subset consistency/entailment checks, memoized, on one `_SubsetSolver`.
+    The ground size capped is the sum of every element's ground instances,
+    duplicates included, and is checked before anything is grounded."""
 
     def __init__(self, base: BeliefBase, explanation: BeliefBase,
                  phi: Explanandum | None, cap: int):
-        self.sig = collect_signature([base, explanation, phi.literals if phi is not None else ()])
+        literals = phi.literals if phi is not None else ()
+        self.sig = collect_signature([base, explanation, literals])
         self.elements = union_elements(base, explanation)
         if (total := _ground_size(self.elements, self.sig)) > cap:
             raise CapExceeded(total, cap, "ground formulas")
-        self.instances_of: list[list[Instance]] = [
-            _instances(el.formula, self.sig) for el in self.elements]
+        self.subsets = _SubsetSolver([el.formula for el in self.elements], self.sig, literals)
         self._consistency: dict[frozenset[int], bool] = {}
         self._entailment: dict[frozenset[int], bool] = {}
         self.phi = phi
-        self._solver: _Solver | None = None
-        self._selectors = 0  # the first selector variable, once the solver is built
-
-    def _satisfiable(self, indices: frozenset[int], refute_phi: bool) -> bool:
-        """Whether the kept elements, and the negated explanandum if `refute_phi`, have a model."""
-        n, first = len(self.elements), self._selectors
-        if self._solver is None:
-            phi = self.phi.literals if self.phi is not None else ()
-            index = _index(self.instances_of, (str(l.atom) for l in phi))
-            self._selectors = first = len(index) + 1
-            clauses = [[-(first + i), *clause] for i, g in enumerate(self.instances_of)
-                       for clause in _clauses(g, index)]
-            negated = sorted({index[str(l.atom)] * (1 if l.negated else -1) for l in phi})
-            if negated and not any(-l in negated for l in negated):  # else a tautology
-                clauses.append([-(first + n), *negated])
-            self._solver = _Solver(clauses)
-        assumptions = [first + i if i in indices else -(first + i) for i in range(n)]
-        assumptions.append(first + n if refute_phi else -(first + n))
-        return self._solver.solve(assumptions) is not None
 
     def consistent(self, indices: frozenset[int]) -> bool:
         if (cached := self._consistency.get(indices)) is None:
-            cached = self._consistency[indices] = self._satisfiable(indices, False)
+            cached = self._consistency[indices] = self.subsets.satisfiable(indices, False)
         return cached
 
     def entails_phi(self, indices: frozenset[int]) -> bool:
         assert self.phi is not None
         if (cached := self._entailment.get(indices)) is None:
-            cached = self._entailment[indices] = not self._satisfiable(indices, True)
+            cached = self._entailment[indices] = not self.subsets.satisfiable(indices, True)
         return cached
 
     def kernel_indices(self) -> Iterator[frozenset[int]]:
@@ -310,9 +268,7 @@ class _UnionContext:
         atom (a consistent one cannot entail it) or holding one inconsistent."""
         n = len(self.elements)
         everything = frozenset(range(n))
-        atoms_of = [{text for inst in g for text, _ in inst} for g in self.instances_of]
-        mentioning = [{i for i, atoms in enumerate(atoms_of) if str(lit.atom) in atoms}
-                      for lit in self.phi.literals]
+        mentioning = [self.subsets.mentioning(lit.atom) for lit in self.phi.literals]
         inconsistent: list[frozenset[int]] = []
         for size in range(n - 1, 0, -1):
             for combo in combinations(range(n), size):
@@ -554,9 +510,11 @@ def _revise(ctx: _UnionContext, strategy: SelectionStrategy) -> RevisionResult:
                            if kept and ctx.entails_phi(kept)], strategy)
     else:
         selected = select(list(ctx.admissible()), strategy)
+    return _retract(ctx, selected, strategy.kind, strategy.seed)
 
+
+def _retract(ctx: _UnionContext, selected: CorrectionSet, kind: str,
+             seed: int | None = None) -> RevisionResult:
     removed = selected.canonical_forms()
     kept = [el for el in ctx.elements if el.canonical() not in removed]
-    revised = base_from_elements(kept)
-    return RevisionResult(revised, selected, False,
-                          strategy.kind, strategy.seed, ctx.phi, True)
+    return RevisionResult(base_from_elements(kept), selected, False, kind, seed, ctx.phi, True)

@@ -21,24 +21,19 @@ from revisekit import (
 
 @pytest.fixture
 def sat_calls(monkeypatch) -> Counter:
-    """Counts the SAT calls made through `revision`, by function name.  A
-    union context's subset check is one solve of its own solver, counted as
-    `is_consistent` or, with the explanandum refuted, as `entails`."""
-    from revisekit import revision
+    """Counts the SAT calls made through `revision`, by function name.
+    Explanation validation and the union contexts decide each subset check
+    by one solve of a `logic._SubsetSolver`, counted as `is_consistent` or,
+    with the explanandum refuted, as `entails`."""
+    from revisekit import logic
 
     calls: Counter = Counter()
-    for name in ("is_consistent", "entails"):
-        def counted(*args, _inner=getattr(revision, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _inner(*args, **kwargs)
-        monkeypatch.setattr(revision, name, counted)
+    satisfiable = logic._SubsetSolver.satisfiable
 
-    satisfiable = revision._UnionContext._satisfiable
-
-    def counted_check(self, indices, refute_phi):
+    def counted_check(self, kept, refute_phi):
         calls["entails" if refute_phi else "is_consistent"] += 1
-        return satisfiable(self, indices, refute_phi)
-    monkeypatch.setattr(revision._UnionContext, "_satisfiable", counted_check)
+        return satisfiable(self, kept, refute_phi)
+    monkeypatch.setattr(logic._SubsetSolver, "satisfiable", counted_check)
     return calls
 
 

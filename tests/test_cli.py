@@ -206,6 +206,9 @@ class TestRevise:
         bad.write_text("!Ins(charlie). Wor(diana).\n", encoding="utf-8")
         assert cli.main(["revise", str(base_file), str(bad), "!Ins(charlie)"]) == 4
         assert "not minimal" in capsys.readouterr().err
+        # validation comes before the union is sized against the cap
+        assert cli.main(["revise", str(base_file), str(bad), "!Ins(charlie)", "--max-ground=1"]) == 4
+        assert "not minimal" in capsys.readouterr().err
 
     def test_cap_exceeded_exit_5(self, base_file, expl_file, capsys):
         assert cli.main(["revise", str(base_file), str(expl_file), "!Ins(charlie)",

@@ -191,7 +191,7 @@ class TestAgainstReference:
             except EmptyUniverse:
                 continue
             ground_of = [ground_formula(el.formula, ctx.sig) for el in ctx.elements]
-            assert ctx.instances_of == [[_instance(gf) for gf in g] for g in ground_of]
+            assert ctx.subsets.instances == [[_instance(gf) for gf in g] for g in ground_of]
             literals = phi.literals if phi is not None else ()
             reference = _ref_atom_index([*ground_of, literals])
             first = len(reference) + 1
@@ -201,8 +201,8 @@ class TestAgainstReference:
             if negated and not any(-l in negated for l in negated):
                 expected.append([-(first + len(ground_of)), *negated])
             ctx.consistent(frozenset())
-            assert ctx._selectors == first
-            assert ctx._solver.clauses == expected
+            assert ctx.subsets._selectors == first
+            assert ctx.subsets._solver.clauses == expected
             phis += phi is not None
             absent += any(l.atom not in _ref_atoms(chain.from_iterable(ground_of)) for l in literals)
         assert phis >= 100 and absent >= 30, (phis, absent)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -9,6 +10,7 @@ from revisekit import (
     CapExceeded,
     EmptyUniverse,
     Explanandum,
+    ExplanationReport,
     InvalidExplanation,
     Literal,
     NoCandidates,
@@ -31,7 +33,7 @@ from revisekit import (
     union_elements,
     validate_explanation,
 )
-from revisekit import revision
+from revisekit import logic
 from revisekit.logic import ground_formula
 from revisekit.revision import _UnionContext, _ground_size
 from revisekit.postulates import GeneratorParams, random_instance
@@ -98,6 +100,50 @@ class TestValidateExplanation:
             entails([gf for st in subset for gf in ground_formula(st.formula, sig)], phi.literals)
             for size in range(len(statements)) for subset in combinations(statements, size))
 
+    def test_equals_object_level_reference(self):
+        """Whole reports, witness order included, equal the object-level
+        reference on seeded explanations; an explanation with variable rules
+        and no constants raises the same EmptyUniverse.  `revise` validates on
+        the explanation's own signature, before the union is sized or grounded."""
+        rng = random.Random(1414)
+        seen = Counter()
+        base = parse_base("P(c). !Q(d). R(c, d). s.")
+        for _ in range(600):
+            e, phi = _random_validation_case(rng)
+            sig = collect_signature([e, phi.literals])
+            try:
+                expected = _reference_report(e, phi)
+            except EmptyUniverse as exc:
+                with pytest.raises(EmptyUniverse) as got:
+                    validate_explanation(e, phi)
+                assert str(got.value) == str(exc)
+                with pytest.raises(EmptyUniverse) as got:
+                    revise(base, e, phi, SelectionStrategy("min-cardinality"), cap=0)
+                assert str(got.value) == str(exc)
+                seen["empty universe"] += 1
+                continue
+            assert validate_explanation(e, phi) == expected
+            if expected.valid:
+                with pytest.raises(CapExceeded):
+                    revise(base, e, phi, SelectionStrategy("min-cardinality"), cap=0)
+            else:
+                with pytest.raises(InvalidExplanation) as got:
+                    revise(base, e, phi, SelectionStrategy("min-cardinality"), cap=0)
+                assert got.value.report == expected
+            seen["valid" if expected.valid else "invalid"] += 1
+            seen["empty"] += not e.statements
+            seen["inconsistent"] += not expected.consistent
+            seen["variable rule"] += any(st.is_rule and st.formula.variables() for st in e)
+            seen["tautological instance"] += any(
+                st.is_rule and _has_tautological_instance(st.formula, sig) for st in e)
+            mentioned = {lit.atom for gf in ground(e, sig)
+                         for lit in ((gf,) if isinstance(gf, Literal) else (*gf.body, gf.head))}
+            seen["unmentioned explanandum atom"] += any(l.atom not in mentioned for l in phi)
+            seen["several witnesses"] += len(expected.failing_subsets) > 1
+            seen["witnesses out of canonical order"] += (
+                list(expected.failing_subsets) != sorted(expected.failing_subsets))
+        assert len(seen) == 10 and min(seen.values()) >= 20, seen
+
     def test_single_removal_equals_exhaustive(self):
         rng = random.Random(31)
         for trial in range(40):
@@ -112,6 +158,66 @@ class TestValidateExplanation:
                 fast_p = validate_explanation(padded, phi)
                 assert fast_p.minimal == self._minimal_over_all_subsets(padded, phi)
                 assert not fast_p.minimal
+
+
+def _reference_report(e, phi):
+    """Validation on the object-level path: ground formulas, decided by fresh
+    `entails`/`is_consistent` calls over the explanation's own signature."""
+    sig = collect_signature([e, phi.literals])
+    ge = ground(e, sig).formulas
+    witnesses = []
+    for removed in e.statements:
+        subset = [st for st in e.statements if st is not removed]
+        if entails([gf for st in subset for gf in ground_formula(st.formula, sig)], phi.literals):
+            witnesses.append(tuple(sorted(st.canonical() for st in subset)))
+    return ExplanationReport(entails(ge, phi.literals), is_consistent(ge), not witnesses,
+                             tuple(witnesses))
+
+
+def _random_literal(rng, terms):
+    """A literal over P/1, Q/1, R/2, s/0 and t/0; propositional when there are no terms."""
+    shapes = (("P", 1), ("Q", 1), ("R", 2), ("s", 0), ("t", 0))
+    predicate, arity = rng.choice(shapes if terms else shapes[3:])
+    return Literal(Atom(predicate, tuple(Term(rng.choice(terms)) for _ in range(arity))),
+                   rng.random() < 0.4)
+
+
+def _random_validation_case(rng):
+    """An explanation of up to five facts and rules plus an explanandum.  About
+    one case in five has no constants at all: variable rules over a
+    propositional explanandum.  One in six explains the explanandum by itself,
+    as facts or, over a constant, through a variable rule, so valid reports
+    show up too."""
+    constants = [] if rng.random() < 0.2 else ["a", "b"][:rng.randint(1, 2)]
+    formulas = {}
+    for _ in range(rng.randint(0, 5)):
+        if rng.random() < 0.45:
+            formula = _random_literal(rng, constants)
+        else:
+            body = tuple(_random_literal(rng, constants + ["X", "Y"]) for _ in range(rng.randint(1, 2)))
+            bound = sorted(frozenset().union(*(lit.variables() for lit in body))) or constants
+            formula = Rule(body, _random_literal(rng, bound))
+        formulas.setdefault(str(formula), formula)
+    literals = {}
+    for _ in range(rng.randint(1, 2)):
+        lit = _random_literal(rng, constants + ["z"] if constants else [])
+        literals.setdefault(lit.atom, lit)
+    if rng.random() < 1 / 6:
+        formulas = {str(lit): lit for lit in literals.values()}
+        if (lit := next(iter(literals.values()))).atom.arity == 1:
+            variable = Literal(Atom(lit.atom.predicate, (Term("X"),)), lit.negated)
+            formulas = {"fact": Literal(Atom("P", lit.atom.args)),
+                        "rule": Rule((Literal(Atom("P", (Term("X"),))),), variable)}
+            literals = {lit.atom: lit}
+    return BeliefBase.from_formulas(formulas.values()), Explanandum(tuple(literals.values()))
+
+
+def _has_tautological_instance(formula, sig):
+    for gf in ground_formula(formula, sig):
+        signed = {(lit.atom, lit.negated) for lit in gf.body} | {(gf.head.atom, not gf.head.negated)}
+        if any((atom, not sign) in signed for atom, sign in signed):
+            return True
+    return False
 
 
 class TestCorrectionKernel:
@@ -458,8 +564,8 @@ class TestGroundSize:
 
     def test_cap_checked_before_grounding(self, monkeypatch, alice_base, coping_explanation):
         grounded = []
-        inner = revision._instances
-        monkeypatch.setattr(revision, "_instances",
+        inner = logic._instances
+        monkeypatch.setattr(logic, "_instances",
                             lambda *args: grounded.append(args) or inner(*args))
         phi = phi_of("!Ins(charlie)")
         with pytest.raises(CapExceeded, match="^7 ground formulas exceed the configured cap of 6$"):
