@@ -195,6 +195,7 @@ class _UnionContext:
         self.subsets = _SubsetSolver([el.formula for el in self.elements], self.sig, literals)
         self._consistency: dict[frozenset[int], bool] = {}
         self._entailment: dict[frozenset[int], bool] = {}
+        self._families: tuple[list[frozenset[int]], list[frozenset[int]]] | None = None
         self.phi = phi
 
     def consistent(self, indices: frozenset[int]) -> bool:
@@ -208,30 +209,42 @@ class _UnionContext:
             cached = self._entailment[indices] = not self.subsets.satisfiable(indices, True)
         return cached
 
-    def kernel_indices(self) -> Iterator[frozenset[int]]:
-        """Nonempty-remainder subsets whose removal restores consistency, by
-        cardinality then lexicographic on canonical forms.  Empty when the
-        union is already consistent.
+    def kernel_indices(self) -> Iterator[tuple[int, ...]]:
+        """Nonempty-remainder removals that restore consistency, as ascending
+        index tuples, by cardinality then lexicographic on canonical forms.
+        Empty when the union is already consistent.
 
-        Consistency is inherited by subsets of the remainder, so every
-        superset of a correction set is one too.  Visiting by cardinality
-        makes each set that needs a SAT call and passes a minimal correction
-        set; a later subset containing one of those is yielded without a
-        call, so SAT work follows the minimal correction sets and the
-        remainders that stay inconsistent."""
+        A removal restores consistency exactly when it contains a minimal
+        correction set, the complement of a maximal consistent subset (Reiter
+        1987), so each candidate is a bitmask superset test against the
+        minimal correction sets known.  After `msses_and_muses` has run on
+        this context all of them are, and the walk makes no SAT call.  Before,
+        they are found lazily: visiting by cardinality makes each candidate
+        that contains none and leaves a consistent remainder a minimal one, so
+        a reader of a prefix pays SAT calls only for that prefix."""
         n = len(self.elements)
         everything = frozenset(range(n))
-        if self.consistent(everything):
-            return
-        minimal: list[frozenset[int]] = []
+        bits = [1 << i for i in range(n)]
+        lazy = self._families is None
+        if lazy:
+            if self.consistent(everything):
+                return
+            minimal: list[int] = []
+        else:
+            minimal = [(1 << n) - 1 - sum(bits[i] for i in kept) for kept in self._families[0]]
+            if 0 in minimal:  # the whole union is consistent
+                return
         for size in range(1, n):
-            for combo in combinations(range(n), size):
-                removed = frozenset(combo)
-                if minimal and any(mcs <= removed for mcs in minimal):
-                    yield removed
-                elif self.consistent(everything - removed):
+            for combo, combo_bits in zip(combinations(range(n), size), combinations(bits, size)):
+                removed = sum(combo_bits)
+                for mcs in minimal:
+                    if mcs & removed == mcs:
+                        break
+                else:
+                    if not lazy or not self.consistent(everything.difference(combo)):
+                        continue
                     minimal.append(removed)
-                    yield removed
+                yield combo
 
     def admissible(self) -> Iterator[CorrectionSet]:
         """The correction sets whose removal keeps the explanandum entailed,
@@ -248,18 +261,18 @@ class _UnionContext:
         explained_entails: bool | None = None
         failing: list[frozenset[int]] = []
         for indices in self.kernel_indices():
-            if failing and any(failed <= indices for failed in failing):
+            if failing and any(failed.issubset(indices) for failed in failing):
                 continue
-            if indices.isdisjoint(explained):
+            if explained.isdisjoint(indices):
                 if explained_entails is None:
                     explained_entails = self.entails_phi(explained)
                 if explained_entails:
                     yield self.correction_set(indices)
                     continue
-            if self.entails_phi(everything - indices):
+            if self.entails_phi(everything.difference(indices)):
                 yield self.correction_set(indices)
             else:
-                failing.append(indices)
+                failing.append(frozenset(indices))
 
     def largest_admissible(self) -> list[CorrectionSet]:
         """The max-cardinality selection as a pool of at most one set: removals
@@ -279,7 +292,7 @@ class _UnionContext:
                 if not self.consistent(remainder):
                     inconsistent.append(remainder)
                 elif self.entails_phi(remainder):
-                    return [self.correction_set(frozenset(combo))]
+                    return [self.correction_set(combo)]
         return []
 
     def msses_and_muses(self) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
@@ -287,7 +300,12 @@ class _UnionContext:
         union, by MARCO (Liffiton, Previti, Malik & Marques-Silva, 2016).  Each
         model of the map (one variable per element, kept unless false) is a
         seed; a consistent one grows to an MSS and its subsets get blocked,
-        an inconsistent one shrinks to a MUS and its supersets get blocked."""
+        an inconsistent one shrinks to a MUS and its supersets get blocked.
+
+        Both families are kept on the context, and from then on
+        `kernel_indices` decides its candidates by the MSSes' complements."""
+        if self._families is not None:
+            return self._families
         n = len(self.elements)
         blocking: list[list[int]] = []
         msses: list[frozenset[int]] = []
@@ -301,10 +319,13 @@ class _UnionContext:
                     seed ^= {i}
             (msses if ok else muses).append(seed)
             blocking.append([i + 1 if ok else -(i + 1) for i in range(n) if (i in seed) != ok])
-        return msses, muses
+        self._families = msses, muses
+        return self._families
 
-    def correction_set(self, indices: frozenset[int]) -> CorrectionSet:
-        return CorrectionSet(tuple(self.elements[i] for i in sorted(indices)))
+    def correction_set(self, indices: Sequence[int]) -> CorrectionSet:
+        """The correction set of the elements at `indices`, which ascend."""
+        elements = self.elements
+        return CorrectionSet(tuple([elements[i] for i in indices]))
 
 
 def correction_kernel(base: BeliefBase, explanation: BeliefBase,
@@ -313,8 +334,13 @@ def correction_kernel(base: BeliefBase, explanation: BeliefBase,
 
     A consistent union yields an empty stream: there is nothing to correct and
     the selection upstream degenerates to the empty retraction.
+
+    A listing reads the whole stream, so it first takes the minimal
+    correction sets from one MARCO enumeration, and its walk over the 2^n
+    candidates makes no SAT call.
     """
     ctx = _UnionContext(base, explanation, None, cap)
+    ctx.msses_and_muses()
     for indices in ctx.kernel_indices():
         yield ctx.correction_set(indices)
 
@@ -506,7 +532,8 @@ def _revise(ctx: _UnionContext, strategy: SelectionStrategy) -> RevisionResult:
         # An admissible set holds an admissible minimal correction set (an MSS's
         # complement), which with no formula weighing below zero or NaN sorts first.
         everything = frozenset(range(len(ctx.elements)))
-        selected = select([ctx.correction_set(everything - kept) for kept in ctx.msses_and_muses()[0]
+        selected = select([ctx.correction_set(sorted(everything - kept))
+                           for kept in ctx.msses_and_muses()[0]
                            if kept and ctx.entails_phi(kept)], strategy)
     else:
         selected = select(list(ctx.admissible()), strategy)

@@ -38,6 +38,8 @@ from revisekit.logic import ground_formula
 from revisekit.revision import _UnionContext, _ground_size
 from revisekit.postulates import GeneratorParams, random_instance
 
+from conftest import random_ground_formulas
+
 RULE = "Wor(charlie) -> Ins(charlie)"
 
 
@@ -255,6 +257,32 @@ class TestCorrectionKernel:
         with pytest.raises(CapExceeded):
             list(correction_kernel(charlie_base, charlie_explanation, cap=2))
 
+    def test_mcs_walk_matches_lazy_walk(self):
+        # the listing walks on the minimal correction sets MARCO found up front;
+        # a fresh context finds them lazily, by SAT calls
+        rng = random.Random(1515)
+        seen = Counter()
+        for n in range(10, 15):
+            for _ in range(3):
+                _, pool = random_ground_formulas(rng, rng.randint(4, 7), 3 * n)
+                distinct = list({str(f): f for f in pool}.values())[:n]
+                split = rng.randint(1, n - 1)
+                b = BeliefBase.from_formulas(distinct[:split])
+                e = BeliefBase.from_formulas(distinct[split:])
+                listing = [cs.elements for cs in correction_kernel(b, e)]
+                fresh = _UnionContext(b, e, None, 24)
+                assert len(fresh.elements) == n
+                lazy = [tuple(fresh.elements[i] for i in ix) for ix in fresh.kernel_indices()]
+                assert fresh._families is None
+                assert listing == lazy
+                muses = fresh.msses_and_muses()[1]
+                # a single formula is consistent, so every removal of n - 1 is listed
+                assert [len(cs) for cs in listing].count(n - 1) == (n if muses else 0)
+                seen["consistent"] += not muses
+                seen["overlapping"] += any(m & other for i, m in enumerate(muses)
+                                           for other in muses[i + 1:])
+        assert seen["consistent"] >= 1 and seen["overlapping"] >= 5
+
 
 def _ground_one(formula, sig):
     from revisekit.logic import ground_formula
@@ -366,8 +394,19 @@ class TestMonotonePruning:
     def test_correction_kernel_consistency_calls(self, sat_calls):
         sets = list(correction_kernel(parse_base(PRUNING_BASE), parse_base("!Q(a).")))
         assert len(sets) == 959
-        # the whole union, ten singletons, and the subsets of the six facts
+        # the lazy walk's bound (the whole union, ten singletons, and the subsets
+        # of the six facts); the listing makes only MARCO's checks, pinned below
         assert 0 < sat_calls["is_consistent"] <= 2 ** 6 + 4 + 1
+
+    def test_correction_kernel_makes_only_marco_calls(self, sat_calls):
+        b, e = parse_base(PRUNING_BASE), parse_base("!Q(a).")
+        assert len(list(correction_kernel(b, e))) == 959
+        calls = sat_calls["is_consistent"]
+        ctx = _UnionContext(b, e, None, 24)
+        msses, muses = ctx.msses_and_muses()
+        assert (len(msses), len(muses)) == (4, 1)
+        # one check per seed and one per element to grow or shrink it; the walk makes none
+        assert 0 < calls <= (len(msses) + len(muses)) * (len(ctx.elements) + 1)
 
     def test_max_cardinality_entailment_calls(self, sat_calls):
         result = revise(parse_base(PRUNING_BASE), parse_base("!Q(a)."), phi_of("!Q(a)"),
