@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -191,7 +192,9 @@ def cmd_revise(args: argparse.Namespace) -> int:
         result = falappa.revise_falappa(base, explanation,
                                         falappa.IncisionPolicy(kind, seed=args.seed), cap)
     else:
-        result = revise(base, explanation, phi, _guided_strategy(args), cap)
+        # in JSON mode an interactive menu and its prompts go to stderr, so stdout parses
+        with redirect_stdout(sys.stderr) if args.format == "json" else nullcontext():
+            result = revise(base, explanation, phi, _guided_strategy(args), cap)
 
     report = postulates.check_postulates(base, explanation, phi, result, cap)
     if args.operator == "falappa":

@@ -21,6 +21,7 @@ from .revision import (
     CorrectionSet,
     RevisionResult,
     UnionElement,
+    _holds_any,
     _UnionContext,
     base_from_elements,
     union_elements,
@@ -66,36 +67,34 @@ def kernel_set(base: BeliefBase, explanation: BeliefBase,
                cap: int = DEFAULT_CAP) -> KernelSet:
     """Every minimal unsatisfiable subset of the union.
 
-    Candidates grow by cardinality with memoized consistency checks; a subset
-    found inconsistent at size k is minimal exactly when it contains no smaller
-    kernel, which the supersets-pruning guarantees.  A subset found consistent
-    is grown to a maximal consistent superset (adding each index in ascending
-    order while consistency holds), and later subsets of a grown set are
-    skipped, so SAT work follows the kernels and the maximal consistent
-    subsets rather than the number of subsets.
+    Candidates are int masks, by cardinality and canonically within a size,
+    with memoized consistency checks; one found inconsistent is minimal
+    exactly when it contains no kernel found before, so kernels come out in
+    canonical order.  One found consistent is grown to a maximal consistent
+    superset (adding each element in ascending order while consistency
+    holds), and later subsets of a grown set are skipped, so SAT work follows
+    the kernels and the maximal consistent subsets rather than 2^n.
     """
     ctx = _UnionContext(base, explanation, None, cap)
     n = len(ctx.elements)
-    found: list[frozenset[int]] = []
-    grown: list[frozenset[int]] = []
+    everything = (1 << n) - 1
+    bits = [1 << i for i in range(n)]
+    found: list[int] = []
+    outside: list[int] = []  # the grown sets' complements: mask <= grown iff ~mask >= ~grown
     for size in range(1, n + 1):
-        for combo in combinations(range(n), size):
-            indices = frozenset(combo)
-            if found and any(kernel <= indices for kernel in found):
+        for combo in combinations(bits, size):
+            mask = sum(combo)
+            if _holds_any(mask, found) or _holds_any(everything ^ mask, outside):
                 continue
-            if grown and any(indices <= consistent for consistent in grown):
-                continue
-            if ctx.consistent(indices):
-                for i in range(n):
-                    if i not in indices and ctx.consistent(indices | {i}):
-                        indices |= {i}
-                grown.append(indices)
+            if ctx.consistent(mask):
+                for bit in bits:
+                    if not mask & bit and ctx.consistent(mask | bit):
+                        mask |= bit
+                outside.append(everything ^ mask)
             else:
-                found.append(indices)
-    kernels = tuple(
-        tuple(ctx.elements[i] for i in sorted(indices))
-        for indices in sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
-    )
+                found.append(mask)
+    kernels = tuple(tuple(el for i, el in enumerate(ctx.elements) if kernel >> i & 1)
+                    for kernel in found)
     return KernelSet(kernels)
 
 

@@ -637,8 +637,9 @@ class _SubsetSolver:
         self._solver: _Solver | None = None
         self._selectors = 0  # the first selector variable, once the solver is built
 
-    def satisfiable(self, kept: frozenset[int], refute_phi: bool) -> bool:
-        """Whether the kept formulas, and the negated explanandum if `refute_phi`, have a model."""
+    def satisfiable(self, kept: int, refute_phi: bool) -> bool:
+        """Whether the kept formulas (bit i of the mask `kept` for formula i), and
+        the negated explanandum if `refute_phi`, have a model."""
         n, first = len(self.instances), self._selectors
         if self._solver is None:
             index = _index(self.instances, (l.atom._text for l in self.phi))
@@ -648,14 +649,14 @@ class _SubsetSolver:
             if negated := _refutation(self.phi, index):
                 clauses.append([-(first + n), *negated])
             self._solver = _Solver(clauses)
-        assumptions = [first + i if i in kept else -(first + i) for i in range(n)]
+        assumptions = [first + i if kept >> i & 1 else -(first + i) for i in range(n)]
         assumptions.append(first + n if refute_phi else -(first + n))
         return self._solver.solve(assumptions) is not None
 
-    def mentioning(self, atom: Atom) -> set[int]:
-        """The positions of the formulas with an instance that mentions the atom."""
-        return {i for i, g in enumerate(self.instances)
-                if any(text == atom._text for inst in g for text, _ in inst)}
+    def mentioning(self, atom: Atom) -> int:
+        """The mask of the formulas with an instance that mentions the atom."""
+        return sum(1 << i for i, g in enumerate(self.instances)
+                   if any(text == atom._text for inst in g for text, _ in inst))
 
 
 def consequences(base: BeliefBase, sig: Signature) -> frozenset[Literal]:

@@ -100,12 +100,12 @@ def validate_explanation(explanation: BeliefBase, phi: Explanandum) -> Explanati
     statements = explanation.statements
     checks = _SubsetSolver([st.formula for st in statements],
                            collect_signature([explanation, phi.literals]), phi.literals)
-    everything = frozenset(range(len(statements)))
+    everything = (1 << len(statements)) - 1
     entails_phi = not checks.satisfiable(everything, True)
     consistent = checks.satisfiable(everything, False)
-    witnesses = tuple(tuple(sorted(statements[i].canonical() for i in kept))
-                      for kept in (everything - {i} for i in range(len(statements)))
-                      if not checks.satisfiable(kept, True))
+    witnesses = tuple(tuple(sorted(st.canonical() for st in statements[:i] + statements[i + 1:]))
+                      for i in range(len(statements))
+                      if not checks.satisfiable(everything ^ (1 << i), True))
     return ExplanationReport(entails_phi, consistent, not witnesses, witnesses)
 
 
@@ -179,11 +179,19 @@ def _ground_size(elements: Sequence[UnionElement], sig: Signature) -> int:
     return total
 
 
+def _holds_any(mask: int, members: list[int]) -> bool:
+    """Whether the subset `mask` contains one of the subsets `members`."""
+    for member in members:
+        if member & mask == member:
+            return True
+    return False
+
+
 class _UnionContext:
     """Grounds and sizes a union once for every operator, and decides its
-    subset consistency/entailment checks, memoized, on one `_SubsetSolver`.
-    The ground size capped is the sum of every element's ground instances,
-    duplicates included, and is checked before anything is grounded."""
+    subset consistency/entailment checks on int masks (bit i for element i),
+    memoized, on one `_SubsetSolver`.  The ground size capped is the sum of
+    every element's ground instances, duplicates included, checked before grounding."""
 
     def __init__(self, base: BeliefBase, explanation: BeliefBase,
                  phi: Explanandum | None, cap: int):
@@ -193,20 +201,20 @@ class _UnionContext:
         if (total := _ground_size(self.elements, self.sig)) > cap:
             raise CapExceeded(total, cap, "ground formulas")
         self.subsets = _SubsetSolver([el.formula for el in self.elements], self.sig, literals)
-        self._consistency: dict[frozenset[int], bool] = {}
-        self._entailment: dict[frozenset[int], bool] = {}
-        self._families: tuple[list[frozenset[int]], list[frozenset[int]]] | None = None
+        self._consistency: dict[int, bool] = {}
+        self._entailment: dict[int, bool] = {}
+        self._families: tuple[list[int], list[int]] | None = None
         self.phi = phi
 
-    def consistent(self, indices: frozenset[int]) -> bool:
-        if (cached := self._consistency.get(indices)) is None:
-            cached = self._consistency[indices] = self.subsets.satisfiable(indices, False)
+    def consistent(self, kept: int) -> bool:
+        if (cached := self._consistency.get(kept)) is None:
+            cached = self._consistency[kept] = self.subsets.satisfiable(kept, False)
         return cached
 
-    def entails_phi(self, indices: frozenset[int]) -> bool:
+    def entails_phi(self, kept: int) -> bool:
         assert self.phi is not None
-        if (cached := self._entailment.get(indices)) is None:
-            cached = self._entailment[indices] = not self.subsets.satisfiable(indices, True)
+        if (cached := self._entailment.get(kept)) is None:
+            cached = self._entailment[kept] = not self.subsets.satisfiable(kept, True)
         return cached
 
     def kernel_indices(self) -> Iterator[tuple[int, ...]]:
@@ -216,32 +224,24 @@ class _UnionContext:
 
         A removal restores consistency exactly when it contains a minimal
         correction set, the complement of a maximal consistent subset (Reiter
-        1987), so each candidate is a bitmask superset test against the
+        1987), so each candidate's mask is one `_holds_any` test against the
         minimal correction sets known.  After `msses_and_muses` has run on
         this context all of them are, and the walk makes no SAT call.  Before,
         they are found lazily: visiting by cardinality makes each candidate
         that contains none and leaves a consistent remainder a minimal one, so
         a reader of a prefix pays SAT calls only for that prefix."""
         n = len(self.elements)
-        everything = frozenset(range(n))
+        everything = (1 << n) - 1
         bits = [1 << i for i in range(n)]
         lazy = self._families is None
-        if lazy:
-            if self.consistent(everything):
-                return
-            minimal: list[int] = []
-        else:
-            minimal = [(1 << n) - 1 - sum(bits[i] for i in kept) for kept in self._families[0]]
-            if 0 in minimal:  # the whole union is consistent
-                return
+        minimal = [] if lazy else [everything ^ kept for kept in self._families[0]]
+        if (lazy and self.consistent(everything)) or 0 in minimal:  # the union is consistent
+            return
         for size in range(1, n):
             for combo, combo_bits in zip(combinations(range(n), size), combinations(bits, size)):
                 removed = sum(combo_bits)
-                for mcs in minimal:
-                    if mcs & removed == mcs:
-                        break
-                else:
-                    if not lazy or not self.consistent(everything.difference(combo)):
+                if not _holds_any(removed, minimal):
+                    if not lazy or not self.consistent(everything ^ removed):
                         continue
                     minimal.append(removed)
                 yield combo
@@ -256,23 +256,23 @@ class _UnionContext:
         explanation's elements whole is accepted once those elements alone
         entail the explanandum.  That check runs at most once, and when it
         fails (an invalid explanation) every candidate is checked itself."""
-        everything = frozenset(range(len(self.elements)))
-        explained = frozenset(i for i, el in enumerate(self.elements) if el.from_explanation)
+        everything = (1 << len(self.elements)) - 1
+        explained = sum(1 << i for i, el in enumerate(self.elements) if el.from_explanation)
         explained_entails: bool | None = None
-        failing: list[frozenset[int]] = []
+        failing: list[int] = []
         for indices in self.kernel_indices():
-            if failing and any(failed.issubset(indices) for failed in failing):
+            if _holds_any(removed := sum([1 << i for i in indices]), failing):
                 continue
-            if explained.isdisjoint(indices):
+            if not explained & removed:
                 if explained_entails is None:
                     explained_entails = self.entails_phi(explained)
                 if explained_entails:
                     yield self.correction_set(indices)
                     continue
-            if self.entails_phi(everything.difference(indices)):
+            if self.entails_phi(everything ^ removed):
                 yield self.correction_set(indices)
             else:
-                failing.append(frozenset(indices))
+                failing.append(removed)
 
     def largest_admissible(self) -> list[CorrectionSet]:
         """The max-cardinality selection as a pool of at most one set: removals
@@ -280,14 +280,15 @@ class _UnionContext:
         admissible.  No SAT call is made for a remainder lacking an explanandum
         atom (a consistent one cannot entail it) or holding one inconsistent."""
         n = len(self.elements)
-        everything = frozenset(range(n))
+        everything = (1 << n) - 1
+        bits = [1 << i for i in range(n)]
         mentioning = [self.subsets.mentioning(lit.atom) for lit in self.phi.literals]
-        inconsistent: list[frozenset[int]] = []
+        inconsistent: list[int] = []
         for size in range(n - 1, 0, -1):
-            for combo in combinations(range(n), size):
-                remainder = everything.difference(combo)
+            for combo, combo_bits in zip(combinations(range(n), size), combinations(bits, size)):
+                remainder = everything ^ sum(combo_bits)
                 if (not all(remainder & m for m in mentioning)
-                        or any(bad <= remainder for bad in inconsistent)):
+                        or _holds_any(remainder, inconsistent)):
                     continue
                 if not self.consistent(remainder):
                     inconsistent.append(remainder)
@@ -295,30 +296,30 @@ class _UnionContext:
                     return [self.correction_set(combo)]
         return []
 
-    def msses_and_muses(self) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
+    def msses_and_muses(self) -> tuple[list[int], list[int]]:
         """Every maximal consistent and minimal unsatisfiable subset of the
         union, by MARCO (Liffiton, Previti, Malik & Marques-Silva, 2016).  Each
         model of the map (one variable per element, kept unless false) is a
         seed; a consistent one grows to an MSS and its subsets get blocked,
         an inconsistent one shrinks to a MUS and its supersets get blocked.
 
-        Both families are kept on the context, and from then on
+        Both families are lists of masks, kept on the context; from then on
         `kernel_indices` decides its candidates by the MSSes' complements."""
         if self._families is not None:
             return self._families
         n = len(self.elements)
         blocking: list[list[int]] = []
-        msses: list[frozenset[int]] = []
-        muses: list[frozenset[int]] = []
+        msses: list[int] = []
+        muses: list[int] = []
         while (model := _solve(blocking)) is not None:
-            seed = frozenset(i for i in range(n) if -(i + 1) not in model)
+            seed = sum(1 << i for i in range(n) if -(i + 1) not in model)
             ok = self.consistent(seed)
             # grow adds, shrink drops, ascending; the block names that side: MSS outside, MUS inside
             for i in range(n):
-                if (i in seed) != ok and self.consistent(seed ^ {i}) == ok:
-                    seed ^= {i}
+                if (seed >> i & 1) != ok and self.consistent(seed ^ (1 << i)) == ok:
+                    seed ^= 1 << i
             (msses if ok else muses).append(seed)
-            blocking.append([i + 1 if ok else -(i + 1) for i in range(n) if (i in seed) != ok])
+            blocking.append([i + 1 if ok else -(i + 1) for i in range(n) if (seed >> i & 1) != ok])
         self._families = msses, muses
         return self._families
 
@@ -508,7 +509,8 @@ def _validated_context(base: BeliefBase, explanation: BeliefBase, phi: Explanand
 
 def _revise(ctx: _UnionContext, strategy: SelectionStrategy) -> RevisionResult:
     """Select and retract a correction set of a validated context's union."""
-    if ctx.consistent(frozenset(range(len(ctx.elements)))):
+    n = len(ctx.elements)
+    if ctx.consistent((1 << n) - 1):
         revised = base_from_elements(ctx.elements)
         return RevisionResult(revised, EMPTY_CORRECTION, True,
                               strategy.kind, strategy.seed, ctx.phi, True)
@@ -531,8 +533,7 @@ def _revise(ctx: _UnionContext, strategy: SelectionStrategy) -> RevisionResult:
             strategy.weight_of(el.canonical()) >= 0 for el in ctx.elements):
         # An admissible set holds an admissible minimal correction set (an MSS's
         # complement), which with no formula weighing below zero or NaN sorts first.
-        everything = frozenset(range(len(ctx.elements)))
-        selected = select([ctx.correction_set(sorted(everything - kept))
+        selected = select([ctx.correction_set([i for i in range(n) if not kept >> i & 1])
                            for kept in ctx.msses_and_muses()[0]
                            if kept and ctx.entails_phi(kept)], strategy)
     else:

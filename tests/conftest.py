@@ -112,3 +112,9 @@ def random_ground_formulas(rng: random.Random, n_atoms: int, n_formulas: int):
             head = Literal(rng.choice(atoms), rng.random() < 0.4)
             formulas.append(Rule(body, head))
     return atoms, formulas
+
+
+def mask(indices) -> int:
+    """The int mask (bit i for position i) of a set of union positions: the one
+    subset type of `_UnionContext` and `logic._SubsetSolver`."""
+    return sum(1 << i for i in indices)

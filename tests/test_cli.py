@@ -187,6 +187,19 @@ class TestRevise:
         assert code == 1
         assert capsys.readouterr().err == "error: input ended before a correction set was selected\n"
 
+    def test_interactive_json_keeps_menu_off_stdout(self, base_file, expl_file, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("x\n2\n"))
+        code = cli.main(["revise", str(base_file), str(expl_file), "!Ins(charlie)",
+                         "--interactive", "--format=json"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["retracted"] == [
+            {"labels": ["B.r1"], "formula": "Wor(charlie) -> Ins(charlie)"}]
+        assert "1) {Wor(charlie)}" in captured.err
+        assert "enter a number between 1 and 3" in captured.err
+        assert captured.err.endswith("select [1-3]: ")
+
     def test_falappa_flags_violation(self, tmp_path, capsys):
         base = tmp_path / "b.rk"
         expl = tmp_path / "e.rk"

@@ -31,6 +31,8 @@ from revisekit import (
 from revisekit.logic import _base_solver, _clauses, _index, _instance, _instances, ground_formula
 from revisekit.revision import _UnionContext
 
+from conftest import mask
+
 PREDICATES = (("p", 0), ("q", 1), ("r", 2), ("s", 1))
 
 
@@ -200,7 +202,7 @@ class TestAgainstReference:
             negated = sorted({(reference[l.atom] + 1) * (1 if l.negated else -1) for l in literals})
             if negated and not any(-l in negated for l in negated):
                 expected.append([-(first + len(ground_of)), *negated])
-            ctx.consistent(frozenset())
+            ctx.consistent(mask(()))
             assert ctx.subsets._selectors == first
             assert ctx.subsets._solver.clauses == expected
             phis += phi is not None

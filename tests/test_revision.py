@@ -38,7 +38,7 @@ from revisekit.logic import ground_formula
 from revisekit.revision import _UnionContext, _ground_size
 from revisekit.postulates import GeneratorParams, random_instance
 
-from conftest import random_ground_formulas
+from conftest import mask, random_ground_formulas
 
 RULE = "Wor(charlie) -> Ins(charlie)"
 
@@ -444,8 +444,9 @@ def _brute_force_msses(b, e):
 
 
 class TestMssesAndMuses:
-    def _forms(self, ctx, sets):
-        return [frozenset(ctx.elements[i].canonical() for i in s) for s in sets]
+    def _forms(self, ctx, masks):
+        return [frozenset(el.canonical() for i, el in enumerate(ctx.elements) if s >> i & 1)
+                for s in masks]
 
     def test_matches_brute_force_and_kernel_set(self):
         unions = set()
@@ -455,8 +456,9 @@ class TestMssesAndMuses:
             msses, muses = ctx.msses_and_muses()
             assert len(set(msses)) == len(msses)
             assert set(self._forms(ctx, msses)) == _brute_force_msses(b, e)
-            ordered = sorted(muses, key=lambda s: (len(s), sorted(s)))
-            assert self._forms(ctx, ordered) == list(kernel_set(b, e).canonical_forms())
+            # elements sort canonically, so sorted forms order as sorted indices do
+            ordered = sorted(self._forms(ctx, muses), key=lambda s: (len(s), sorted(s)))
+            assert ordered == list(kernel_set(b, e).canonical_forms())
             unions.add(bool(muses))
         assert unions == {True, False}
 
@@ -513,13 +515,13 @@ class TestSelectorChecks:
                     formulas = _subset_formulas(ctx, sig, kept)
                     consistent = is_consistent(formulas)
                     assert consistent == any(kept <= sat for sat, _ in profiles)
-                    assert ctx.consistent(kept) == consistent
+                    assert ctx.consistent(mask(kept)) == consistent
                     entailed = entails(formulas, phi.literals)
                     assert entailed == all(ok for sat, ok in profiles if kept <= sat)
-                    assert ctx.entails_phi(kept) == entailed
+                    assert ctx.entails_phi(mask(kept)) == entailed
             names = {el.canonical() for el in ctx.elements}
             features.add(n)
-            features.add("inconsistent" if not ctx.consistent(frozenset(range(n))) else "consistent")
+            features.add("inconsistent" if not ctx.consistent(mask(range(n))) else "consistent")
             if TAUTOLOGICAL_RULE in names:
                 features.add("tautology")
             if names.issuperset(SHARED_INSTANCE):
@@ -541,9 +543,9 @@ class TestSelectorChecks:
             for kept, entailment in queries:
                 formulas = _subset_formulas(ctx, sig, kept)
                 if entailment:
-                    assert ctx.entails_phi(kept) == entails(formulas, phi.literals)
+                    assert ctx.entails_phi(mask(kept)) == entails(formulas, phi.literals)
                 else:
-                    assert ctx.consistent(kept) == is_consistent(formulas)
+                    assert ctx.consistent(mask(kept)) == is_consistent(formulas)
 
 
 def _sizing_unions(seed: int, trials: int):
