@@ -10,7 +10,8 @@ For first-study entries the conflicting fact itself serves as its own
 explanation (a single-fact explanation is always valid), and the two
 reference retraction patterns are forced: `minimal` retracts exactly the
 categorical statement, `non-minimal` retracts the smallest all-conditional
-correction set.
+correction set.  A pattern tests only its own candidates, by the predicate
+`admissible` applies, so no admissible pool is listed.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Any, Sequence
+from itertools import combinations
+from typing import Any
 
 from .dsl import Scenario, parse_scenario
 from .errors import NoCandidates
-from .logic import DEFAULT_CAP, BeliefBase
-from .metrics import change_measure, classify_revision, statement_changes
+from .logic import DEFAULT_CAP, BeliefBase, Literal, Signature, collect_signature, consequences
+from .metrics import _measure, classify_revision, statement_changes
 from .revision import (
-    CorrectionSet,
     Explanandum,
     RevisionResult,
     SelectionStrategy,
@@ -50,19 +51,17 @@ class CorpusEntry:
         return self.scenario.explanation
 
 
-def _load(name: str) -> str:
-    return resources.files("revisekit.corpus_data").joinpath(name).read_text(encoding="utf-8")
-
-
 def corpus_entries(experiment: int | None = None) -> tuple[CorpusEntry, ...]:
     """All embedded scenarios, optionally restricted to one experiment."""
     entries = []
+    # one directory listing per call: a namespace package's joinpath lists it each time
+    files = {path.name: path for path in resources.files("revisekit.corpus_data").iterdir()}
     for experiment_no, ids in ((1, EXPERIMENT_1_IDS), (2, EXPERIMENT_2_IDS)):
         if experiment is not None and experiment != experiment_no:
             continue
         for index, sid in enumerate(ids, start=1):
             filename = sid.replace("-", "_") + ".scn"
-            scenario = parse_scenario(_load(filename))
+            scenario = parse_scenario(files[filename].read_text(encoding="utf-8"))
             entries.append(CorpusEntry(scenario, experiment_no, index))
     return tuple(entries)
 
@@ -77,33 +76,42 @@ def scenario_inputs(entry: CorpusEntry) -> tuple[BeliefBase, BeliefBase, Explana
     return base, BeliefBase.from_formulas(list(entry.scenario.fact)), phi
 
 
-def _pattern_revision(ctx: _UnionContext, pool: Sequence[CorrectionSet], entry: CorpusEntry,
-                      pattern: str) -> RevisionResult:
-    """Retract the admissible pool's first match; a consistent union's pool is empty."""
+def _pattern_revision(ctx: _UnionContext, entry: CorpusEntry, pattern: str) -> RevisionResult:
+    """Retract the pattern's first admissible candidate in the canonical order
+    of `admissible`: exactly the categoricals (`minimal`), or all-conditional
+    sets by size then index (`non-minimal`).  A candidate passes as it would
+    there: the union is inconsistent, the removal is nonempty and leaves a
+    nonempty remainder, which is consistent and entails the explanandum."""
     scenario = entry.scenario
-    if pattern == "minimal":
-        matches = frozenset(str(s.formula) for s in scenario.categoricals()).__eq__
-    elif pattern == "non-minimal":  # the pool is in sort_key order: the first match is smallest
-        matches = frozenset(str(s.formula) for s in scenario.conditionals()).issuperset
-    else:
+    if pattern not in ("minimal", "non-minimal"):
         raise ValueError(f"unknown pattern {pattern!r}")
-    for cs in pool:
-        if matches(cs.canonical_forms()):
-            return _retract(ctx, cs, "interactive")
+    statements = scenario.categoricals() if pattern == "minimal" else scenario.conditionals()
+    forms = {str(s.formula) for s in statements}
+    allowed = [i for i, el in enumerate(ctx.elements) if el.canonical() in forms]
+    everything = (1 << len(ctx.elements)) - 1
+    for size in [len(allowed)] if pattern == "minimal" else range(1, len(allowed) + 1):
+        for indices in combinations(allowed, size):
+            remainder = everything ^ sum(1 << i for i in indices)
+            if (indices and remainder and not ctx.consistent(everything)
+                    and ctx.consistent(remainder) and ctx.entails_phi(remainder)):
+                return _retract(ctx, ctx.correction_set(indices), "interactive")
     raise NoCandidates(f"the {pattern} pattern is not admissible for {scenario.id}")
 
 
 def pattern_revision(entry: CorpusEntry, pattern: str,
                      cap: int = DEFAULT_CAP) -> RevisionResult:
-    """Replay an entry with a reference retraction pattern, on its own validated context."""
-    ctx = _validated_context(*scenario_inputs(entry), cap)
-    return _pattern_revision(ctx, list(ctx.admissible()), entry, pattern)
+    """Replay an entry with a reference retraction pattern, on its own
+    validated context, testing only the pattern's candidates."""
+    return _pattern_revision(_validated_context(*scenario_inputs(entry), cap), entry, pattern)
 
 
-def _row(entry: CorpusEntry, run: str, result: RevisionResult) -> dict[str, Any]:
-    base = entry.scenario.belief_base()
+def _row(entry: CorpusEntry, run: str, result: RevisionResult, base: BeliefBase,
+         priors: dict[Signature, frozenset[Literal]]) -> dict[str, Any]:
+    """One report row; `priors` holds the base's consequence sets by signature."""
     classification = classify_revision(entry.scenario, result)
-    measure = change_measure(base, result.revised)
+    sig = collect_signature([base, result.revised])
+    if (before := priors.get(sig)) is None:
+        before = priors[sig] = consequences(base, sig)
     return {
         "id": entry.scenario.id,
         "type": entry.scenario.problem_type,
@@ -111,7 +119,7 @@ def _row(entry: CorpusEntry, run: str, result: RevisionResult) -> dict[str, Any]
         "retracted": sorted(result.retracted.canonical_forms()),
         "classification": classification.label,
         "statement_changes": statement_changes(base, result),
-        "change_measure": measure,
+        "change_measure": _measure(before, consequences(result.revised, sig)),
         "entails_explanandum": bool(result.entails_explanandum),
     }
 
@@ -124,22 +132,25 @@ def corpus_report(experiment: int | None = None,
     Each entry contributes a `minimal` and a `non-minimal` pattern row; second-
     experiment entries additionally contribute one strategy-selected guided
     run.  All runs of an entry select from one validated context, so they
-    share its grounding and memoized SAT checks.  The comparison records, with
-    exact rationals, whether the non-minimal revision changed more than the
-    minimal one; entries where it did not are collected under `exceptions`
-    rather than assumed away.
+    share its grounding and memoized SAT checks; the patterns test only their
+    own candidates, and the rows build the prior base's consequence set once
+    per signature.  The comparison records, with exact rationals, whether the
+    non-minimal revision changed more than the minimal one; entries where it
+    did not are collected under `exceptions` rather than assumed away.
     """
     if strategy is None:
         strategy = SelectionStrategy("protect-explanation")
     rows: list[dict[str, Any]] = []
     comparisons: list[dict[str, Any]] = []
     for entry in corpus_entries(experiment):
-        ctx = _validated_context(*scenario_inputs(entry), cap)
+        base, explanation, phi = scenario_inputs(entry)
+        ctx = _validated_context(base, explanation, phi, cap)
+        priors: dict[Signature, frozenset[Literal]] = {}
         if entry.experiment == 2:
-            rows.append(_row(entry, f"strategy:{strategy.kind}", _revise(ctx, strategy)))
-        pool = list(ctx.admissible())
-        min_row, nonmin_row = [_row(entry, f"pattern:{p}", _pattern_revision(ctx, pool, entry, p))
-                               for p in ("minimal", "non-minimal")]
+            rows.append(_row(entry, f"strategy:{strategy.kind}", _revise(ctx, strategy),
+                             base, priors))
+        min_row, nonmin_row = [_row(entry, f"pattern:{p}", _pattern_revision(ctx, entry, p),
+                                    base, priors) for p in ("minimal", "non-minimal")]
         rows += [min_row, nonmin_row]
         d_min: Fraction = min_row["change_measure"].value
         d_nonmin: Fraction = nonmin_row["change_measure"].value

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import UnknownLabel
-from .logic import BeliefBase, Signature, collect_signature, consequences
+from .logic import BeliefBase, Literal, Signature, collect_signature, consequences
 
 if TYPE_CHECKING:
     from .dsl import Scenario
@@ -48,8 +48,11 @@ def change_measure(base: BeliefBase, revised: BeliefBase,
     """
     if sig is None:
         sig = collect_signature([base, revised])
-    before = consequences(base, sig)
-    after = consequences(revised, sig)
+    return _measure(consequences(base, sig), consequences(revised, sig))
+
+
+def _measure(before: frozenset[Literal], after: frozenset[Literal]) -> ChangeMeasure:
+    """The change measure between a prior and a posterior consequence set."""
     sym = before.symmetric_difference(after)
     union = before.union(after)
     if not union:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from revisekit import (
+    DEFAULT_CAP,
     CapExceeded,
     NoCandidates,
     SelectionStrategy,
@@ -16,11 +17,63 @@ from revisekit import (
     corpus_report,
     entails,
     ground,
+    parse_literals,
     parse_scenario,
     pattern_revision,
     render,
 )
-from revisekit.corpus import EXPERIMENT_1_IDS, EXPERIMENT_2_IDS, scenario_inputs
+from revisekit.corpus import (
+    EXPERIMENT_1_IDS,
+    EXPERIMENT_2_IDS,
+    CorpusEntry,
+    _pattern_revision,
+    scenario_inputs,
+)
+from revisekit.dsl import ScenarioStatement
+from revisekit.revision import _validated_context
+
+
+def reference_pattern(entry, pattern):
+    """The pattern decision by listing the admissible pool: its first set equal
+    to the categoricals (`minimal`) or made only of conditionals (`non-minimal`).
+    Returns the retracted forms, or the `NoCandidates` message."""
+    ctx = _validated_context(*scenario_inputs(entry), DEFAULT_CAP)
+    if pattern == "minimal":
+        matches = frozenset(str(s.formula) for s in entry.scenario.categoricals()).__eq__
+    else:
+        matches = frozenset(str(s.formula) for s in entry.scenario.conditionals()).issuperset
+    for cs in list(ctx.admissible()):
+        if matches(cs.canonical_forms()):
+            return sorted(cs.canonical_forms())
+    return f"the {pattern} pattern is not admissible for {entry.scenario.id}"
+
+
+def decided_pattern(entry, pattern):
+    """`_pattern_revision` on a fresh context, in `reference_pattern`'s terms."""
+    ctx = _validated_context(*scenario_inputs(entry), DEFAULT_CAP)
+    try:
+        return sorted(_pattern_revision(ctx, entry, pattern).retracted.canonical_forms())
+    except NoCandidates as exc:
+        return str(exc)
+
+
+def sugar_entry(sid, explanation=""):
+    """The first scenario's statements under another id, with an optional explanation."""
+    return CorpusEntry(parse_scenario(SUGAR.format(id=sid) + explanation), 1, 1)
+
+
+SUGAR = """
+[meta]
+id = {id}
+type = I
+
+[statements]
+S1: conditional: ContainsSugar(X) -> GivesEnergy(X).
+S2: categorical: ContainsSugar(drink).
+
+[fact]
+!GivesEnergy(drink).
+"""
 
 
 class TestCorpusContent:
@@ -90,6 +143,9 @@ class TestPatternRevisions:
                 continue
             result = pattern_revision(entry, "non-minimal")
             assert len(result.retracted.elements) == 2
+            # the same pick as the first all-conditional set of the listed pool
+            want = reference_pattern(entry, "non-minimal")
+            assert sorted(result.retracted.canonical_forms()) == want
 
     def test_unknown_pattern(self):
         entry = corpus_entries()[0]
@@ -105,10 +161,55 @@ class TestPatternRevisions:
         message = f"the {pattern} pattern is not admissible for exp1-s1"
         with pytest.raises(NoCandidates, match=message):
             pattern_revision(entry, pattern)
+        assert reference_pattern(entry, pattern) == message
 
     def test_cap_below_ground_size(self):
         with pytest.raises(CapExceeded):
             pattern_revision(corpus_entries()[0], "minimal", cap=2)
+
+
+class TestPatternDecision:
+    """Testing only a pattern's own candidates picks what the first match in
+    the listed admissible pool picked."""
+
+    @pytest.mark.parametrize("experiment", [None, 1, 2])
+    @pytest.mark.parametrize("pattern", ["minimal", "non-minimal"])
+    def test_corpus_entries_match_the_pool(self, experiment, pattern):
+        entries = corpus_entries(experiment)
+        assert len(entries) == {None: 15, 1: 9, 2: 6}[experiment]
+        for entry in entries:
+            want = reference_pattern(entry, pattern)
+            assert isinstance(want, list), entry.scenario.id
+            assert decided_pattern(entry, pattern) == want, entry.scenario.id
+
+    def test_categorical_the_explanation_asserts(self):
+        # the categorical and the explanation's first statement are one union
+        # element; the explanation needs it, so retracting it alone loses phi
+        entry = sugar_entry("shared", """
+[explanation]
+ContainsSugar(drink).
+ContainsSugar(X) -> !GivesEnergy(X).
+""")
+        ctx = _validated_context(*scenario_inputs(entry), DEFAULT_CAP)
+        shared = [el for el in ctx.elements if el.canonical() == "ContainsSugar(drink)"]
+        assert [len(el.sources) for el in shared] == [2]
+        assert reference_pattern(entry, "minimal") == \
+            "the minimal pattern is not admissible for shared"
+        assert reference_pattern(entry, "non-minimal") == ["ContainsSugar(X) -> GivesEnergy(X)"]
+        for pattern in ("minimal", "non-minimal"):
+            assert decided_pattern(entry, pattern) == reference_pattern(entry, pattern)
+
+    def test_no_all_conditional_set_is_admissible(self):
+        # a second categorical contradicts the fact whatever conditionals go
+        entry = sugar_entry("direct")
+        extra = ScenarioStatement("S3", "categorical", parse_literals("GivesEnergy(drink)")[0])
+        entry = replace(entry, scenario=replace(entry.scenario,
+                                                statements=entry.scenario.statements + (extra,)))
+        assert reference_pattern(entry, "non-minimal") == \
+            "the non-minimal pattern is not admissible for direct"
+        assert reference_pattern(entry, "minimal") == ["ContainsSugar(drink)", "GivesEnergy(drink)"]
+        for pattern in ("minimal", "non-minimal"):
+            assert decided_pattern(entry, pattern) == reference_pattern(entry, pattern)
 
 
 class TestCorpusReport:
@@ -170,6 +271,47 @@ class TestSharedContext:
             monkeypatch.setattr(owner, name, counted)
         corpus_report()
         assert calls == {"__init__": 15, "validate_explanation": 15}
+
+    def test_replay_work_counts(self, sat_calls, monkeypatch):
+        from revisekit import corpus, logic, metrics, revision
+
+        calls: Counter = Counter()
+        kernel_indices = revision._UnionContext.kernel_indices
+
+        def counted_kernel_indices(self):
+            calls["kernel_indices"] += 1
+            return kernel_indices(self)
+
+        def counted_consequences(*args, **kwargs):
+            calls["consequences"] += 1
+            return logic.consequences(*args, **kwargs)
+        monkeypatch.setattr(revision._UnionContext, "kernel_indices", counted_kernel_indices)
+        for module in (corpus, metrics):
+            monkeypatch.setattr(module, "consequences", counted_consequences)
+        rows = []
+        row = corpus._row
+
+        def recorded_row(entry, run, result, *args):
+            rows.append((entry, result, out := row(entry, run, result, *args)))
+            return out
+        monkeypatch.setattr(corpus, "_row", recorded_row)
+
+        corpus_report(1)
+        assert calls == {"consequences": 27}  # no pool is listed, so no walk
+        calls.clear()
+        sat_calls.clear()
+        rows.clear()
+        corpus_report()
+        # only the six second-experiment strategy rows walk the candidates; the
+        # prior consequence set is built once per entry (36 rows + 15, not 72),
+        # and 237 subset checks when both patterns read the listed pool
+        assert calls == {"kernel_indices": 6, "consequences": 51}
+        assert sum(sat_calls.values()) == 158
+        assert len(rows) == 36
+        monkeypatch.undo()
+        for entry, result, out in rows:
+            base = entry.scenario.belief_base()
+            assert out["change_measure"] == metrics.change_measure(base, result.revised)
 
     # md5 prefixes of the CLI output before the runs of an entry shared one
     # context; sharing memoized checks must not change a byte of any row
