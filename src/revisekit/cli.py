@@ -172,7 +172,10 @@ def _guided_strategy(args: argparse.Namespace) -> SelectionStrategy:
     kind = args.strategy or "min-cardinality"
     if kind not in GUIDED_STRATEGIES:
         raise ValueError(f"unknown guided strategy {kind!r}")
-    weights = json.loads(args.weights) if args.weights else None
+    try:
+        weights = json.loads(args.weights) if args.weights else None
+    except RecursionError:
+        raise ValueError("--weights JSON is nested too deeply") from None
     if weights and not (isinstance(weights, dict) and all(
             isinstance(w, (int, float)) for w in weights.values())):
         raise ValueError("--weights must be a JSON object mapping formulas to numbers")

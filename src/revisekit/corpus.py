@@ -105,13 +105,23 @@ def pattern_revision(entry: CorpusEntry, pattern: str,
     return _pattern_revision(_validated_context(*scenario_inputs(entry), cap), entry, pattern)
 
 
+def _consequences(ctx: _UnionContext, base: BeliefBase, sig: Signature) -> frozenset[Literal]:
+    """`consequences(base, sig)`, read off the context's solver when `sig` is
+    the context's signature and every formula of `base` is a union element."""
+    forms = base.canonical_forms()
+    kept = sum(1 << i for i, el in enumerate(ctx.elements) if el.canonical() in forms)
+    if sig != ctx.sig or kept.bit_count() != len(base):
+        return consequences(base, sig)
+    return ctx.subsets.consequences(kept)
+
+
 def _row(entry: CorpusEntry, run: str, result: RevisionResult, base: BeliefBase,
-         priors: dict[Signature, frozenset[Literal]]) -> dict[str, Any]:
+         ctx: _UnionContext, priors: dict[Signature, frozenset[Literal]]) -> dict[str, Any]:
     """One report row; `priors` holds the base's consequence sets by signature."""
     classification = classify_revision(entry.scenario, result)
     sig = collect_signature([base, result.revised])
     if (before := priors.get(sig)) is None:
-        before = priors[sig] = consequences(base, sig)
+        before = priors[sig] = _consequences(ctx, base, sig)
     return {
         "id": entry.scenario.id,
         "type": entry.scenario.problem_type,
@@ -119,7 +129,7 @@ def _row(entry: CorpusEntry, run: str, result: RevisionResult, base: BeliefBase,
         "retracted": sorted(result.retracted.canonical_forms()),
         "classification": classification.label,
         "statement_changes": statement_changes(base, result),
-        "change_measure": _measure(before, consequences(result.revised, sig)),
+        "change_measure": _measure(before, _consequences(ctx, result.revised, sig)),
         "entails_explanandum": bool(result.entails_explanandum),
     }
 
@@ -133,10 +143,11 @@ def corpus_report(experiment: int | None = None,
     experiment entries additionally contribute one strategy-selected guided
     run.  All runs of an entry select from one validated context, so they
     share its grounding and memoized SAT checks; the patterns test only their
-    own candidates, and the rows build the prior base's consequence set once
-    per signature.  The comparison records, with exact rationals, whether the
-    non-minimal revision changed more than the minimal one; entries where it
-    did not are collected under `exceptions` rather than assumed away.
+    own candidates.  The rows read the consequence sets of the prior base,
+    once per signature, and of each revised base off the context's solver.
+    The comparison records, with exact rationals, whether the non-minimal
+    revision changed more than the minimal one; entries where it did not are
+    collected under `exceptions` rather than assumed away.
     """
     if strategy is None:
         strategy = SelectionStrategy("protect-explanation")
@@ -148,9 +159,9 @@ def corpus_report(experiment: int | None = None,
         priors: dict[Signature, frozenset[Literal]] = {}
         if entry.experiment == 2:
             rows.append(_row(entry, f"strategy:{strategy.kind}", _revise(ctx, strategy),
-                             base, priors))
+                             base, ctx, priors))
         min_row, nonmin_row = [_row(entry, f"pattern:{p}", _pattern_revision(ctx, entry, p),
-                                    base, priors) for p in ("minimal", "non-minimal")]
+                                    base, ctx, priors) for p in ("minimal", "non-minimal")]
         rows += [min_row, nonmin_row]
         d_min: Fraction = min_row["change_measure"].value
         d_nonmin: Fraction = nonmin_row["change_measure"].value

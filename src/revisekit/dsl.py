@@ -8,10 +8,11 @@ Grammar (whitespace-insensitive, `//` comments to end of line):
     rule      := literal { "&" literal } "->" literal
     literal   := [ "!" ] atom
     atom      := ident [ "(" term { "," term } ")" ]
+    ident     := [A-Za-z][A-Za-z0-9_]*
 
-Identifiers start with a letter.  In argument position an uppercase-led
-identifier is a variable and a lowercase-led one is a constant; any identifier
-may appear in functor position.
+Identifiers are ASCII; any other character is a parse error at its position.
+In argument position an uppercase-led identifier is a variable and a
+lowercase-led one is a constant; any identifier may appear in functor position.
 
 Scenario files are sectioned:
 
@@ -27,6 +28,7 @@ serialized form, so `parse(render(x))` equals `x` under canonical form.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -50,55 +52,41 @@ from .logic import (
 _PUNCT = {"!": "bang", "&": "amp", ".": "dot", ",": "comma", "(": "lparen",
           ")": "rparen", ":": "colon"}
 
+# One alternative per lexical class, tried in order; a blank run matches no
+# group, and any other character falls through to `bad`.  `ident` is
+# `logic._IDENT`'s rule, so every identifier token is a valid `Term`/`Atom` name.
+_LEXEME = re.compile(r"(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<arrow>->)|(?P<punct>[!&.,():])"
+                     r"|(?P<newline>\n)|[ \t\r]+|(?P<comment>//[^\n]*)|(?P<bad>.)")
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident | bang | amp | arrow | dot | comma | lparen | rparen | colon | eof
-    text: str
-    span: SourceSpan
+# (kind, text, line, column): kind is ident | bang | amp | arrow | dot | comma
+# | lparen | rparen | colon | eof.  Spans are built only for errors (`_span`).
+_Token = tuple[str, str, int, int]
+
+
+def _span(tok: _Token) -> SourceSpan:
+    return SourceSpan(tok[2], tok[3], len(tok[1]) or 1)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, start = 1, 0  # the current line's number and the index it starts at
+    end = len(text)  # where end of input is reported: before a trailing comment
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = SourceSpan(line, col)
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            tokens.append(_Token("ident", word, SourceSpan(line, col, len(word))))
-            col += j - i
-            i = j
-            continue
-        if text.startswith("->", i):
-            tokens.append(_Token("arrow", "->", SourceSpan(line, col, 2)))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, span))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", span)
-    tokens.append(_Token("eof", "", SourceSpan(line, col)))
+        if kind == "newline":
+            line, start, end = line + 1, m.end(), len(text)
+        elif kind == "comment":
+            end = m.start()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}",
+                             SourceSpan(line, m.start() - start + 1))
+        else:
+            word = m.group()
+            tokens.append((_PUNCT[word] if kind == "punct" else kind, word, line,
+                           m.start() - start + 1))
+    tokens.append(("eof", "", line, end - start + 1))
     return tokens
 
 
@@ -114,17 +102,17 @@ class _Parser:
 
     def take(self, kind: str) -> _Token:
         tok = self.peek()
-        if tok.kind != kind:
+        if tok[0] != kind:
             raise ParseError(
-                f"expected {kind}, found {tok.text or 'end of input'!r}",
-                tok.span,
+                f"expected {kind}, found {tok[1] or 'end of input'!r}",
+                _span(tok),
                 expected=(kind,),
             )
         self.pos += 1
         return tok
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.peek()[0] == kind
 
     def parse_atom(self) -> Atom:
         name = self.take("ident")
@@ -136,11 +124,10 @@ class _Parser:
                 self.take("comma")
                 args.append(self.parse_term())
             self.take("rparen")
-        return Atom(name.text, tuple(args))
+        return Atom(name[1], tuple(args))
 
     def parse_term(self) -> Term:
-        tok = self.take("ident")
-        return Term(tok.text)
+        return Term(self.take("ident")[1])
 
     def parse_literal(self) -> Literal:
         negated = False
@@ -151,7 +138,7 @@ class _Parser:
 
     def parse_statement_body(self) -> Literal | Rule:
         """One fact or rule, without label or terminating dot."""
-        first_span = self.peek().span
+        first = self.peek()
         literals = [self.parse_literal()]
         while self.at("amp"):
             self.take("amp")
@@ -162,22 +149,22 @@ class _Parser:
             try:
                 return Rule(tuple(literals), head)
             except ValueError as exc:
-                raise ParseError(str(exc), first_span) from exc
+                raise ParseError(str(exc), _span(first)) from exc
         if len(literals) > 1:
             raise ParseError(
                 "conjunction without '->': only rule bodies may use '&'",
-                self.peek().span,
+                _span(self.peek()),
                 expected=("arrow",),
             )
         fact = literals[0]
         if not fact.is_ground:
-            raise ParseError(f"fact is not ground: {fact}", first_span)
+            raise ParseError(f"fact is not ground: {fact}", _span(first))
         return fact
 
     def parse_labeled_statement(self) -> tuple[str | None, Literal | Rule]:
         label = None
-        if self.at("ident") and self.peek(1).kind == "colon":
-            label = self.take("ident").text
+        if self.at("ident") and self.peek(1)[0] == "colon":
+            label = self.take("ident")[1]
             self.take("colon")
         formula = self.parse_statement_body()
         self.take("dot")
@@ -190,7 +177,7 @@ class _Parser:
         return _label_statements(raw, self)
 
     def parse_conjunction(self) -> tuple[Literal, ...]:
-        span = self.peek().span
+        first = self.peek()
         literals = [self.parse_literal()]
         while self.at("amp"):
             self.take("amp")
@@ -200,7 +187,7 @@ class _Parser:
         self.take("eof")
         for lit in literals:
             if not lit.is_ground:
-                raise ParseError(f"literal is not ground: {lit}", span)
+                raise ParseError(f"literal is not ground: {lit}", _span(first))
         return tuple(literals)
 
 
@@ -225,7 +212,7 @@ def _label_statements(raw: list[tuple[str | None, Literal | Rule]], parser: _Par
     try:
         base = BeliefBase(stmts)
     except ValueError as exc:
-        raise ParseError(str(exc), parser.peek().span) from exc
+        raise ParseError(str(exc), _span(parser.peek())) from exc
     collect_signature([base])  # arity consistency within the text
     return base
 

@@ -10,20 +10,24 @@ Two engines are kept deliberately independent:
 
   * `is_consistent` / `entails` / `consequences` and `_SubsetSolver` (the
     subset checks of explanation validation and of `revision`'s union
-    contexts) decide integer clauses with a `_Solver`.  They never build the
-    ground formulas: each formula is compiled once per call into literal
-    templates (an atom's text with a slot per variable, and the literal's
-    sign in the clause), whose instances over the constants are tuples of
-    (atom text, sign) pairs (`_instances`).  `_index` numbers the atom texts
-    in sorted order and `_clauses` turns the instances into sorted integer
-    clauses, skipping tautological ones.  The solver builds the occurrence
+    contexts, and their consequence sets) decide integer clauses with a
+    `_Solver`.  They never build the ground formulas: each formula is
+    compiled once per call into literal templates (an atom's text with a
+    slot per variable, and the literal's sign in the clause), whose
+    instances over the constants are tuples of (atom text, sign) pairs
+    (`_instances`).  `_index` numbers the atom texts in sorted order and
+    `_clauses` turns the instances into sorted integer clauses, skipping
+    tautological ones.  The solver builds the occurrence
     lists once per clause set and propagates the unit clauses once, at the
     root; each query is then a complete iterative search under a list of
     assumption literals (unit propagation, an explicit trail and
     chronological backtracking), so input size is bounded by memory, not
     recursion depth.  `is_consistent` and `entails` ask one query
-    (`_solve`); `consequences` asks one solver for every backbone
-    candidate, with the candidate's complement as the assumption;
+    (`_solve`).  Consequence sets come from one backbone routine
+    (`_backbone`), which asks one solver for every candidate with the
+    candidate's complement as a further assumption: `consequences` runs it
+    with no other assumption on a base's own solver, and
+    `_SubsetSolver.consequences` under a kept subset's selectors;
   * `ground_formula` / `ground` build the ground formulas as objects, and
     `enumerate_models` evaluates them semantically over every
     interpretation of the Herbrand base.  This object-level path is the
@@ -166,14 +170,24 @@ class Rule(_Syntax):
         loose = self.head.variables() - body_vars
         if loose:
             raise ValueError(f"head variables not bound by the body: {sorted(loose)}")
-        text = " & ".join(lit._text for lit in self.body) + " -> " + self.head._text
-        object.__setattr__(self, "_text", text)
+        self._render()
+
+    def _render(self) -> None:
+        object.__setattr__(self, "_text", " & ".join(lit._text for lit in self.body)
+                           + " -> " + self.head._text)
 
     def variables(self) -> frozenset[str]:
         return frozenset().union(self.head.variables(), *(lit.variables() for lit in self.body))
 
     def substitute(self, binding: Mapping[str, str]) -> "Rule":
-        return Rule(tuple(lit.substitute(binding) for lit in self.body), self.head.substitute(binding))
+        """The rule with each variable in `binding` replaced.  Every instance of
+        a range-restricted rule is range-restricted, so the instance is built
+        without `__post_init__`'s check; only its text is rendered."""
+        inst = object.__new__(Rule)
+        object.__setattr__(inst, "body", tuple(lit.substitute(binding) for lit in self.body))
+        object.__setattr__(inst, "head", self.head.substitute(binding))
+        inst._render()
+        return inst
 
 
 Formula = Union[Literal, Rule]
@@ -294,37 +308,39 @@ class Signature:
 
 
 def _scan(part: Any, constants: set[str], predicates: dict[str, int]) -> None:
-    if isinstance(part, Signature):
-        constants.update(part.constants)
-        for name, arity in part.predicates:
-            _note_predicate(predicates, name, arity)
-    elif isinstance(part, BeliefBase):
+    """Note every constant and predicate arity of `part`, atoms in reading
+    order, dispatching on the exact type; anything else is iterated."""
+    cls = part.__class__
+    if cls is Literal:
+        atoms: Sequence[Atom] = (part.atom,)
+    elif cls is Rule:
+        atoms = [lit.atom for lit in part.body]
+        atoms.append(part.head.atom)
+    elif cls is Statement:
+        return _scan(part.formula, constants, predicates)
+    elif cls is BeliefBase:
         for st in part.statements:
             _scan(st.formula, constants, predicates)
-    elif isinstance(part, Statement):
-        _scan(part.formula, constants, predicates)
-    elif isinstance(part, Rule):
-        for lit in part.body:
-            _scan(lit, constants, predicates)
-        _scan(part.head, constants, predicates)
-    elif isinstance(part, Literal):
-        _note_predicate(predicates, part.atom.predicate, part.atom.arity)
-        for term in part.atom.args:
-            if not term.is_variable:
-                constants.add(term.name)
-    elif isinstance(part, Atom):
-        _scan(Literal(part), constants, predicates)
+        return
+    elif cls is Atom:
+        atoms = (part,)
+    elif cls is Signature:
+        constants.update(part.constants)
+        for name, arity in part.predicates:
+            if (known := predicates.setdefault(name, arity)) != arity:
+                raise ArityMismatch(name, known, arity)
+        return
     else:
         for item in part:
             _scan(item, constants, predicates)
-
-
-def _note_predicate(predicates: dict[str, int], name: str, arity: int) -> None:
-    known = predicates.get(name)
-    if known is None:
-        predicates[name] = arity
-    elif known != arity:
-        raise ArityMismatch(name, known, arity)
+        return
+    for atom in atoms:
+        args = atom.args
+        if (known := predicates.setdefault(atom.predicate, len(args))) != len(args):
+            raise ArityMismatch(atom.predicate, known, len(args))
+        for term in args:
+            if not term.name[0].isupper():  # a constant: `is_variable_name` is false
+                constants.add(term.name)
 
 
 def collect_signature(parts: Iterable[Any]) -> Signature:
@@ -618,9 +634,10 @@ def _refutation(lits: Sequence[Literal], index: Mapping[str, int]) -> list[int]:
 
 
 class _SubsetSolver:
-    """Consistency and entailment checks on subsets of a list of formulas, each
-    grounded in order by `_instances` at construction: every check is one solve
-    of one solver, which the first check builds.
+    """Consistency, entailment and consequence checks on subsets of a list of
+    formulas, each grounded in order by `_instances` at construction: every
+    check is one solve, or for consequences one backbone, of one solver, which
+    the first check builds.
 
     Selector variables follow the atoms: each clause of formula i starts with
     !s_i, and the negated explanandum with !s_phi, so the search sees a
@@ -629,20 +646,24 @@ class _SubsetSolver:
     entailment, so it is one `_Solver.solve` that never branches on a selector
     (Een & Sorensson, SAT 2003) and answers as a fresh `is_consistent`/`entails`."""
 
-    __slots__ = ("instances", "phi", "_solver", "_selectors")
+    __slots__ = ("formulas", "sig", "instances", "phi", "_solver", "_index", "_selectors")
 
     def __init__(self, formulas: Iterable[Formula], sig: Signature, phi: Sequence[Literal]):
-        self.instances = [_instances(formula, sig) for formula in formulas]
+        self.formulas = tuple(formulas)
+        self.sig = sig
+        self.instances = [_instances(formula, sig) for formula in self.formulas]
         self.phi = phi
         self._solver: _Solver | None = None
+        self._index: dict[str, int] = {}  # the atom numbering, once the solver is built
         self._selectors = 0  # the first selector variable, once the solver is built
 
-    def satisfiable(self, kept: int, refute_phi: bool) -> bool:
-        """Whether the kept formulas (bit i of the mask `kept` for formula i), and
-        the negated explanandum if `refute_phi`, have a model."""
+    def _assumptions(self, kept: int, refute_phi: bool) -> list[int]:
+        """The assumptions selecting the kept formulas (bit i of the mask `kept`
+        for formula i), and the negated explanandum if `refute_phi`; the first
+        call builds the solver."""
         n, first = len(self.instances), self._selectors
         if self._solver is None:
-            index = _index(self.instances, (l.atom._text for l in self.phi))
+            self._index = index = _index(self.instances, (l.atom._text for l in self.phi))
             self._selectors = first = len(index) + 1
             clauses = [[-(first + i), *clause] for i, g in enumerate(self.instances)
                        for clause in _clauses(g, index)]
@@ -651,7 +672,19 @@ class _SubsetSolver:
             self._solver = _Solver(clauses)
         assumptions = [first + i if kept >> i & 1 else -(first + i) for i in range(n)]
         assumptions.append(first + n if refute_phi else -(first + n))
+        return assumptions
+
+    def satisfiable(self, kept: int, refute_phi: bool) -> bool:
+        """Whether the kept formulas, and the negated explanandum if `refute_phi`, have a model."""
+        assumptions = self._assumptions(kept, refute_phi)
         return self._solver.solve(assumptions) is not None
+
+    def consequences(self, kept: int) -> frozenset[Literal]:
+        """`consequences` of a base of the kept formulas over the signature, as
+        the backbone of this solver under their selectors with s_phi off."""
+        assumptions = self._assumptions(kept, False)
+        premises = [f for i, f in enumerate(self.formulas) if kept >> i & 1]
+        return _backbone(self._solver, self._index, assumptions, premises, self.sig)
 
     def mentioning(self, atom: Atom) -> int:
         """The mask of the formulas with an instance that mentions the atom."""
@@ -662,32 +695,41 @@ class _SubsetSolver:
 def consequences(base: BeliefBase, sig: Signature) -> frozenset[Literal]:
     """Every ground literal over the signature's Herbrand base that the base entails.
 
-    Computed as the backbone of the ground base: the base's instances are
-    clausified once into one `_Solver`, and one model found; only the
-    literals that model makes true can be entailed.  Each remaining
-    candidate, in canonical atom order, is probed by one search under its
-    complement as an assumption: no model means it is entailed, and a model
-    drops every candidate that model does not make true.  Atoms the base
-    never mentions are free, so only the base's own atoms inside the
-    Herbrand base are probed.  Only the entailed literals are built: a fact
-    of the base is entailed as stated and returned as the base's own
-    literal, and new atoms over the same constants share one tuple of terms.
-
+    Computed by `_backbone` on one `_Solver` of the base's instances.
     Undefined (raises InconsistentBase) when the ground base has no model; a
     consistent base never yields both a literal and its negation.
     """
     solver, index = _base_solver(base, sig)
-    model = solver.solve()
+    return _backbone(solver, index, [], base.formulas, sig)
+
+
+def _backbone(solver: _Solver, index: Mapping[str, int], assumptions: list[int],
+              formulas: Iterable[Formula], sig: Signature) -> frozenset[Literal]:
+    """The ground literals over the signature's Herbrand base that every model
+    of the solver's clauses under the assumptions makes true; `index` numbers
+    the atom texts in sorted order and `formulas` are the premises.
+
+    One model is found first; only the literals it makes true can be
+    entailed.  Each remaining candidate, in canonical atom order, is probed by
+    one search under its complement as a further assumption: no model means it
+    is entailed, and a model drops every candidate that model does not make
+    true.  Atoms no clause in force mentions are free, so only atoms the
+    search assigns inside the Herbrand base are probed.  Only the entailed
+    literals are built: a premise fact is entailed as stated and returned as
+    that very literal, and new atoms over the same constants share one tuple
+    of terms.  Raises InconsistentBase when there is no model.
+    """
+    model = solver.solve(assumptions)
     if model is None:
         raise InconsistentBase("consequences undefined: base has no model")
     candidates = set(model)
+    probe = [*assumptions, 0]  # the assumptions, then the candidate's complement
     predicates = set(sig.predicates)
     constants = set(sig.constants)
     out = []
     # the literals built here outlive the call (the change measure holds two
     # sets at once), so each one saved is one fewer for the cyclic GC to track
-    facts = {st.formula.atom._text: st.formula for st in base.statements
-             if isinstance(st.formula, Literal)}
+    facts = {f.atom._text: f for f in formulas if isinstance(f, Literal)}
     terms_of = {text.partition("(")[2]: fact.atom.args for text, fact in facts.items()}
     for text, v in index.items():  # canonical order: the index is sorted by text
         predicate, _, rest = text.partition("(")  # the text of Atom(predicate, args)
@@ -699,7 +741,8 @@ def consequences(base: BeliefBase, sig: Signature) -> frozenset[Literal]:
         lit = v if v in candidates else -v
         if lit not in candidates:
             continue
-        other = solver.solve((-lit,))
+        probe[-1] = -lit
+        other = solver.solve(probe)
         if other is None:
             if (fact := facts.get(text)) is not None:
                 out.append(fact)

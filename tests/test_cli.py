@@ -101,6 +101,19 @@ class TestCheck:
         assert cli.main(["check", str(path)]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("base.rk", "p(café).\n", "parse error at 1:6: unexpected character 'é'\n"),
+        # a statement line reports its column inside the statement text
+        ("s.scn", SCENARIO.replace("Fever(maria).", "Fever(maría)."),
+         "parse error at 7:10: unexpected character 'í'\n"),
+        ("end.rk", "p(a) // no dot", "parse error at 1:6: expected dot, found 'end of input'\n"),
+    ])
+    def test_parse_error_positions(self, tmp_path, capsys, name, text, message):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == message
+
     def test_invariant_violation_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.scn"
         path.write_text(SCENARIO.replace("!HighTemperature(maria).",
@@ -144,6 +157,13 @@ class TestRevise:
                        "--strategy=weighted", f"--weights={weights}")
         assert run.returncode == 1
         assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
+
+    def test_deeply_nested_weights_exit_1(self, base_file, expl_file):
+        run = _run_cli("revise", str(base_file), str(expl_file), "!Ins(charlie)",
+                       "--strategy=weighted", "--weights=" + "[" * 20_000)
+        assert run.returncode == 1
+        assert run.stderr == "error: --weights JSON is nested too deeply\n"
+        assert "Traceback" not in run.stderr
 
     def test_library_rejects_non_numeric_weights(self):
         with pytest.raises(ValueError, match="not a number"):

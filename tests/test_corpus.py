@@ -277,6 +277,7 @@ class TestSharedContext:
 
         calls: Counter = Counter()
         kernel_indices = revision._UnionContext.kernel_indices
+        read = logic._SubsetSolver.consequences
 
         def counted_kernel_indices(self):
             calls["kernel_indices"] += 1
@@ -285,7 +286,13 @@ class TestSharedContext:
         def counted_consequences(*args, **kwargs):
             calls["consequences"] += 1
             return logic.consequences(*args, **kwargs)
+
+        def counted_read(self, kept):
+            assert self._solver is not None  # built by the context's subset checks
+            calls["context_reads"] += 1
+            return read(self, kept)
         monkeypatch.setattr(revision._UnionContext, "kernel_indices", counted_kernel_indices)
+        monkeypatch.setattr(logic._SubsetSolver, "consequences", counted_read)
         for module in (corpus, metrics):
             monkeypatch.setattr(module, "consequences", counted_consequences)
         rows = []
@@ -297,21 +304,56 @@ class TestSharedContext:
         monkeypatch.setattr(corpus, "_row", recorded_row)
 
         corpus_report(1)
-        assert calls == {"consequences": 27}  # no pool is listed, so no walk
+        # every row's signature is its entry's union signature, so each
+        # consequence set is read off the union solver; no pool is listed
+        assert calls == {"context_reads": 27}
         calls.clear()
         sat_calls.clear()
         rows.clear()
         corpus_report()
         # only the six second-experiment strategy rows walk the candidates; the
-        # prior consequence set is built once per entry (36 rows + 15, not 72),
-        # and 237 subset checks when both patterns read the listed pool
-        assert calls == {"kernel_indices": 6, "consequences": 51}
+        # prior consequence set is read once per entry (36 rows + 15, not 72),
+        # on the solver the subset checks built: a read is no counted SAT call
+        assert calls == {"kernel_indices": 6, "context_reads": 51}
         assert sum(sat_calls.values()) == 158
         assert len(rows) == 36
         monkeypatch.undo()
         for entry, result, out in rows:
             base = entry.scenario.belief_base()
             assert out["change_measure"] == metrics.change_measure(base, result.revised)
+
+    def test_row_off_the_context_signature_falls_back(self, monkeypatch):
+        from revisekit import BeliefBase, corpus, logic, metrics, revision
+
+        entry = corpus_entries(1)[0]
+        base, explanation, phi = scenario_inputs(entry)
+        ctx = _validated_context(base, explanation, phi, DEFAULT_CAP)
+        result = _pattern_revision(ctx, entry, "non-minimal")
+        # the same union plus a fact on a new constant: the row's signature is narrower
+        extra = parse_literals("Extra(zz)")
+        wider = revision._UnionContext(base, BeliefBase.from_formulas([*explanation.formulas, *extra]),
+                                       phi, DEFAULT_CAP)
+        assert collect_signature([base, result.revised]) != wider.sig
+        calls: Counter = Counter()
+        read = logic._SubsetSolver.consequences
+
+        def counted_consequences(*args, **kwargs):
+            calls["consequences"] += 1
+            return logic.consequences(*args, **kwargs)
+
+        def counted_read(self, kept):
+            calls["context_reads"] += 1
+            return read(self, kept)
+        monkeypatch.setattr(corpus, "consequences", counted_consequences)
+        monkeypatch.setattr(logic._SubsetSolver, "consequences", counted_read)
+        out = corpus._row(entry, "pattern:non-minimal", result, base, wider, {})
+        assert calls == {"consequences": 2}
+        assert out["change_measure"] == metrics.change_measure(base, result.revised)
+        # a base over the context's signature but not of its elements falls back too
+        calls.clear()
+        other = BeliefBase.from_formulas([lit.negate() for lit in entry.scenario.fact])
+        assert corpus._consequences(ctx, other, ctx.sig) == logic.consequences(other, ctx.sig)
+        assert calls == {"consequences": 1}
 
     # md5 prefixes of the CLI output before the runs of an entry shared one
     # context; sharing memoized checks must not change a byte of any row

@@ -1,10 +1,13 @@
 import json
+import random
+import string
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from revisekit import (
     ArityMismatch,
+    dsl,
     Atom,
     BeliefBase,
     Literal,
@@ -17,6 +20,7 @@ from revisekit import (
     parse_scenario,
     render,
 )
+from revisekit.errors import RevisekitError, SourceSpan
 
 SCENARIO_OK = """
 // worked Type II instance
@@ -265,3 +269,154 @@ def _dedupe(formulas):
 @given(_bases())
 def test_roundtrip_property(base):
     assert parse_base(render(base)) == base
+
+
+# --- differential: the regex tokenizer against the character loop it replaced --
+
+_REF_PUNCT = {"!": "bang", "&": "amp", ".": "dot", ",": "comma", "(": "lparen",
+              ")": "rparen", ":": "colon"}
+
+
+def _reference_tokens(text):
+    """The character-loop tokenizer, as (kind, text, line, column, length)."""
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("ident", text[i:j], line, col, j - i))
+            col += j - i
+            i = j
+            continue
+        if text.startswith("->", i):
+            tokens.append(("arrow", "->", line, col, 2))
+            i += 2
+            col += 2
+            continue
+        if ch in _REF_PUNCT:
+            tokens.append((_REF_PUNCT[ch], ch, line, col, 1))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", SourceSpan(line, col))
+    tokens.append(("eof", "", line, col, 1))
+    return tokens
+
+
+def _ident(rng):
+    tail = "".join(rng.choice(string.ascii_letters + string.digits + "_")
+                   for _ in range(rng.randint(0, 3)))
+    return rng.choice(string.ascii_letters) + tail
+
+
+def _gap(rng):
+    return rng.choice(["", "", " ", "  ", "\t", "\r\n", "\n", " // note\n"])
+
+
+def _statement(rng):
+    """A statement that is often well formed, with random spacing."""
+    def literal():
+        atom = _ident(rng)
+        if rng.random() < 0.7:
+            args = [rng.choice(["a", "b", "X", "Y", _ident(rng)]) for _ in range(rng.randint(1, 2))]
+            atom += "(" + (_gap(rng) + "," + _gap(rng)).join(args) + ")"
+        return ("!" if rng.random() < 0.3 else "") + atom
+    body = (_gap(rng) + "&" + _gap(rng)).join(literal() for _ in range(rng.randint(1, 2)))
+    text = body + (_gap(rng) + "->" + _gap(rng) + literal() if rng.random() < 0.5 else "")
+    if rng.random() < 0.3:
+        text = _ident(rng) + _gap(rng) + ":" + _gap(rng) + text
+    return text + _gap(rng) + "."
+
+
+def _soup(rng):
+    """Any lexical piece, including the characters no token starts with."""
+    return rng.choice([_ident(rng), "!", "&", ".", ",", "(", ")", ":", "->", " ", "\t",
+                       "\r\n", "\n", "-", "/", "$", "\f", "- >", "// c", "//x\n"])
+
+
+def _text(rng):
+    chunks = []
+    for _ in range(rng.randint(0, 4)):
+        r = rng.random()
+        if r < 0.6:
+            chunks.append(_statement(rng))
+        elif r < 0.9:
+            chunks.append("".join(_soup(rng) for _ in range(rng.randint(1, 4))))
+        else:
+            chunks.append(rng.choice(["\f", "$", "-", "/"]))
+        chunks.append(_gap(rng))
+    if rng.random() < 0.4:  # a trailing comment, with or without its newline
+        chunks.append("//" + rng.choice(["", " no dot", " a.b(c)"]) + rng.choice(["", "\n"]))
+    return "".join(chunks)
+
+
+def _outcome(parse, text):
+    """What `parse` makes of `text`: the parsed value, or the error's fields."""
+    try:
+        value = parse(text)
+    except ParseError as exc:
+        return ("parse error", exc.message, exc.span, exc.span.length, exc.expected)
+    except RevisekitError as exc:
+        return (type(exc).__name__, str(exc))
+    if isinstance(value, BeliefBase):
+        return ("base", [str(st) for st in value.statements])
+    if isinstance(value, tuple):
+        return ("literals", [str(lit) for lit in value])
+    return ("scenario", render(value), [str(st) for st in value.explanation or ()])
+
+
+def _as_scenario(text, on_statement_line):
+    """A type I scenario with `text` as its conditional's line or as its explanation."""
+    rule, explanation = (text.replace("\n", " "), "") if on_statement_line else ("p(X) -> q(X).", text)
+    return (f"[meta]\nid = t\ntype = I\n\n[statements]\nS1: conditional: {rule}\n"
+            f"S2: categorical: p(a).\n\n[fact]\n!q(a).\n\n[explanation]\n{explanation}\n")
+
+
+def test_tokenizer_matches_character_loop(monkeypatch):
+    rng = random.Random(2026)
+    texts = [_text(rng) for _ in range(600)]
+    texts += ["p(a) // no dot", "p(a).//", "p(a). // end\r\n", "\f", "p(a) -", "a /b", "$"]
+    seen = set()
+    for text in texts:
+        try:
+            expected = ("tokens", _reference_tokens(text))
+        except ParseError as exc:
+            expected = ("parse error", exc.message, exc.span, exc.span.length, exc.expected)
+        try:
+            got = ("tokens", [(*tok, len(tok[1]) or 1) for tok in dsl._tokenize(text)])
+        except ParseError as exc:
+            got = ("parse error", exc.message, exc.span, exc.span.length, exc.expected)
+        assert got == expected, text
+        seen.add(got[0])
+    assert seen == {"tokens", "parse error"}
+
+    parsers = (parse_base, parse_literals, parse_scenario)
+    scenarios = [_as_scenario(text, i % 2) for i, text in enumerate(texts)]
+    actual = [[_outcome(parse_base, t), _outcome(parse_literals, t), _outcome(parse_scenario, s)]
+              for t, s in zip(texts, scenarios)]
+    monkeypatch.setattr(dsl, "_tokenize", lambda text: [tok[:4] for tok in _reference_tokens(text)])
+    reference = [[_outcome(parse_base, t), _outcome(parse_literals, t), _outcome(parse_scenario, s)]
+                 for t, s in zip(texts, scenarios)]
+    for text, got, expected in zip(texts, actual, reference):
+        assert got == expected, text
+    kinds = {(p.__name__, o[0]) for row in actual for p, o in zip(parsers, row)}
+    assert {("parse_base", "base"), ("parse_base", "parse error"),
+            ("parse_literals", "literals"), ("parse_scenario", "scenario"),
+            ("parse_scenario", "parse error")} <= kinds

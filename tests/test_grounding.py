@@ -8,7 +8,9 @@ solver sees the same problem and every search, model and SAT count stays the
 same.
 """
 
+import pickle
 import random
+from collections import Counter
 from itertools import chain
 
 import pytest
@@ -257,3 +259,66 @@ class TestConsequences:
         assert set(out) == {"q(a)", "!s(a)"}
         assert out["q(a)"] is fact
         assert out["!s(a)"].atom.args is fact.atom.args
+
+    def test_context_reads_equal_consequences(self):
+        """Every kept mask of a union of at most eight elements: the backbone
+        read off the union's solver is `consequences` of a base of the kept
+        elements over the union's signature, or both raise."""
+        seen: Counter = Counter()
+        for rng, formulas, sig in _cases(5151, 120):
+            split = rng.randint(0, len(formulas))
+            extra = [Literal(Atom("t", (Term("d"),)))] if rng.random() < 0.5 else []
+            explanation = BeliefBase.from_formulas(formulas[split:] + extra)
+            phi_atoms = {}
+            for _ in range(rng.randint(0, 2)):
+                lit = _literal(rng, list(sig.constants) + ["z"])
+                phi_atoms.setdefault(lit.atom, lit)
+            phi = Explanandum(tuple(phi_atoms.values())) if phi_atoms else None
+            try:
+                ctx = _UnionContext(BeliefBase.from_formulas(formulas[:split]), explanation,
+                                    phi, 10 ** 6)
+            except EmptyUniverse:
+                continue
+            n = len(ctx.elements)
+            assert n <= 8
+            atoms_of = [{text for inst in g for text, _ in inst} for g in ctx.subsets.instances]
+            for kept in range(1 << n):
+                kept_atoms = set().union(*(a for i, a in enumerate(atoms_of) if kept >> i & 1))
+                base = BeliefBase.from_formulas(
+                    [el.formula for i, el in enumerate(ctx.elements) if kept >> i & 1])
+                try:
+                    expected = consequences(base, ctx.sig)
+                except InconsistentBase:
+                    seen["inconsistent"] += 1
+                    with pytest.raises(InconsistentBase):
+                        ctx.subsets.consequences(kept)
+                    continue
+                assert ctx.subsets.consequences(kept) == expected
+                seen["consistent"] += 1
+                if phi is not None and any(l.atom._text not in kept_atoms for l in phi.literals):
+                    seen["explanandum atom unmentioned"] += 1
+                if any(not kept >> i & 1 and a and not a & set().union(*atoms_of[:i], *atoms_of[i + 1:])
+                       for i, a in enumerate(atoms_of)):
+                    seen["dropped element with its own atoms"] += 1
+        assert len(seen) == 4 and min(seen.values()) >= 50, seen
+
+
+def test_rule_instances_equal_built_rules():
+    """`ground_formula` builds rule instances without re-checking range
+    restriction; they are indistinguishable from rules built directly."""
+    instances = 0
+    for _, formulas, sig in _cases(909, 150):
+        for f in formulas:
+            if not isinstance(f, Rule) or not f.variables() or not sig.constants:
+                continue
+            for inst in ground_formula(f, sig):
+                built = Rule(inst.body, inst.head)
+                again = pickle.loads(pickle.dumps(inst))
+                for other in (built, again):
+                    assert inst == other and hash(inst) == hash(other)
+                    assert (str(inst), repr(inst)) == (str(other), repr(other))
+                instances += 1
+    assert instances >= 200
+    x, y = Term("X"), Term("Y")
+    with pytest.raises(ValueError, match="head variables not bound"):
+        Rule((Literal(Atom("q", (x,))),), Literal(Atom("q", (y,))))
