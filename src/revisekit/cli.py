@@ -207,7 +207,7 @@ def cmd_revise(args: argparse.Namespace) -> int:
         measure = metrics.change_measure(base, result.revised)
     except InconsistentBase:
         measure = None
-    result = result.annotated(postulates=report.results, change_measure=measure)
+    result = replace(result, postulates=report.results, change_measure=measure)
     print(dsl.render(result, "json" if args.format == "json" else "canonical-text"))
     return EXIT_OK
 

@@ -56,7 +56,7 @@ _PUNCT = {"!": "bang", "&": "amp", ".": "dot", ",": "comma", "(": "lparen",
 # group, and any other character falls through to `bad`.  `ident` is
 # `logic._IDENT`'s rule, so every identifier token is a valid `Term`/`Atom` name.
 _LEXEME = re.compile(r"(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<arrow>->)|(?P<punct>[!&.,():])"
-                     r"|(?P<newline>\n)|[ \t\r]+|(?P<comment>//[^\n]*)|(?P<bad>.)")
+                     r"|(?P<newline>\n+)|[ \t\r]+|(?P<comment>//[^\n]*)|(?P<bad>.)")
 
 # (kind, text, line, column): kind is ident | bang | amp | arrow | dot | comma
 # | lparen | rparen | colon | eof.  Spans are built only for errors (`_span`).
@@ -76,7 +76,7 @@ def _tokenize(text: str) -> list[_Token]:
         if kind is None:
             continue
         if kind == "newline":
-            line, start, end = line + 1, m.end(), len(text)
+            line, start, end = line + m.end() - m.start(), m.end(), len(text)
         elif kind == "comment":
             end = m.start()
         elif kind == "bad":
@@ -264,51 +264,69 @@ class Scenario:
         return tuple(s for s in self.statements if s.kind == "categorical")
 
 
-def _split_sections(text: str) -> dict[str, list[tuple[int, str]]]:
-    sections: dict[str, list[tuple[int, str]]] = {}
+# (line, column, text): a scenario line's content, without its comment and
+# surrounding blanks, and the file position where that content starts.
+_Line = tuple[int, int, str]
+
+
+def _split_sections(text: str) -> dict[str, list[_Line]]:
+    """Each section's content lines, keyed by name; the first entry of each
+    list is the position just after its header, with empty text.
+
+    Lines end at `\n` only, as in the tokenizer, so spans count lines one way."""
+    sections: dict[str, list[_Line]] = {}
     current: str | None = None
-    for lineno, rawline in enumerate(text.splitlines(), start=1):
-        line = rawline.split("//", 1)[0].strip()
+    for lineno, rawline in enumerate(text.split("\n"), start=1):
+        content = rawline.split("//", 1)[0]
+        line = content.strip()
         if not line:
             continue
+        column = len(content) - len(content.lstrip()) + 1
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
             if current in sections:
-                raise ParseError(f"duplicate section [{current}]", SourceSpan(lineno, 1, len(line)))
-            sections[current] = []
+                raise ParseError(f"duplicate section [{current}]", SourceSpan(lineno, column, len(line)))
+            sections[current] = [(lineno, column + len(line), "")]
             continue
         if current is None:
-            raise ParseError("content before the first [section] header", SourceSpan(lineno, 1, len(line)))
-        sections[current].append((lineno, line))
+            raise ParseError("content before the first [section] header",
+                             SourceSpan(lineno, column, len(line)))
+        sections[current].append((lineno, column, line))
     return sections
 
 
-def _parse_meta(lines: list[tuple[int, str]]) -> dict[str, str]:
+def _positioned(lines: list[_Line]) -> str:
+    """The lines as one text with each at its file position, so that every
+    token span, and so every parse error, is a file position."""
+    parts, at = [], 1
+    for lineno, column, line in lines:
+        parts.append("\n" * (lineno - at) + " " * (column - 1) + line)
+        at = lineno
+    return "".join(parts)
+
+
+def _parse_meta(lines: list[_Line]) -> dict[str, str]:
     meta = {}
-    for lineno, line in lines:
+    for lineno, column, line in lines:
         if "=" not in line:
-            raise ParseError("expected `key = value` in [meta]", SourceSpan(lineno, 1, len(line)))
+            raise ParseError("expected `key = value` in [meta]", SourceSpan(lineno, column, len(line)))
         key, value = line.split("=", 1)
         meta[key.strip()] = value.strip()
     return meta
 
 
-def _parse_scenario_statement(lineno: int, line: str) -> ScenarioStatement:
+def _parse_scenario_statement(lineno: int, column: int, line: str) -> ScenarioStatement:
     parts = line.split(":", 2)
     if len(parts) != 3:
-        raise ParseError("expected `LABEL: kind: statement.`", SourceSpan(lineno, 1, len(line)))
+        raise ParseError("expected `LABEL: kind: statement.`", SourceSpan(lineno, column, len(line)))
     label, kind, body = (p.strip() for p in parts)
     if kind not in STATEMENT_KINDS:
-        raise ParseError(f"unknown statement kind {kind!r}", SourceSpan(lineno, 1, len(line)),
+        raise ParseError(f"unknown statement kind {kind!r}", SourceSpan(lineno, column, len(line)),
                          expected=STATEMENT_KINDS)
-    try:
-        parsed = _Parser(body)
-        formula = parsed.parse_statement_body()
-        parsed.take("dot")
-        parsed.take("eof")
-    except ParseError as exc:
-        raise ParseError(exc.message, SourceSpan(lineno, exc.span.column, exc.span.length),
-                         expected=exc.expected) from exc
+    parsed = _Parser(_positioned([(lineno, column + len(line) - len(body), body)]))
+    formula = parsed.parse_statement_body()
+    parsed.take("dot")
+    parsed.take("eof")
     if kind == "conditional" and not isinstance(formula, Rule):
         raise ScenarioInvalid("conditional-statement-form", f"{label} is not a rule")
     if kind == "categorical" and isinstance(formula, Rule):
@@ -323,7 +341,7 @@ def parse_scenario(text: str) -> Scenario:
     for required in ("meta", "statements", "fact"):
         if required not in sections:
             raise ParseError(f"missing required section [{required}]", SourceSpan(1, 1))
-    meta = _parse_meta(sections["meta"])
+    meta = _parse_meta(sections["meta"][1:])
     sid = meta.get("id", "")
     ptype = meta.get("type", "")
     if not sid:
@@ -331,17 +349,11 @@ def parse_scenario(text: str) -> Scenario:
     if ptype not in VALID_TYPES:
         raise ScenarioInvalid("meta-type", f"type must be one of {VALID_TYPES}, got {ptype!r}")
 
-    statements = tuple(_parse_scenario_statement(lineno, line) for lineno, line in sections["statements"])
-    fact_text = " ".join(line for _, line in sections["fact"])
-    try:
-        fact = parse_literals(fact_text)
-    except ParseError as exc:
-        base_line = sections["fact"][0][0] if sections["fact"] else 1
-        raise ParseError(exc.message, SourceSpan(base_line, 1), expected=exc.expected) from exc
-
+    statements = tuple(_parse_scenario_statement(*line) for line in sections["statements"][1:])
+    fact = parse_literals(_positioned(sections["fact"]))
     explanation = None
     if "explanation" in sections:
-        explanation = parse_base("\n".join(line for _, line in sections["explanation"]))
+        explanation = parse_base(_positioned(sections["explanation"]))
 
     scenario = Scenario(sid, ptype, statements, fact, explanation)
     _check_scenario_invariants(scenario)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import UnknownLabel
-from .logic import BeliefBase, Literal, Signature, collect_signature, consequences
+from .logic import BeliefBase, Literal, collect_signature, consequences
 
 if TYPE_CHECKING:
     from .dsl import Scenario
@@ -38,16 +38,14 @@ class ChangeMeasure:
         return f"{self.numerator}/{self.denominator} = {self.decimal}"
 
 
-def change_measure(base: BeliefBase, revised: BeliefBase,
-                   sig: Signature | None = None) -> ChangeMeasure:
+def change_measure(base: BeliefBase, revised: BeliefBase) -> ChangeMeasure:
     """Normalized symmetric difference of the two consequence sets.
 
     Both sets are computed over the combined signature so the Herbrand base is
     shared; two bases with no consequences at all count as zero change.
     Raises InconsistentBase when either base has no model.
     """
-    if sig is None:
-        sig = collect_signature([base, revised])
+    sig = collect_signature([base, revised])
     return _measure(consequences(base, sig), consequences(revised, sig))
 
 

@@ -20,11 +20,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace as _replace
-from typing import Mapping
 
 from .errors import (
     EmptyUniverse,
     GenerationFailed,
+    InconsistentBase,
     InvalidExplanation,
     NonDeterministicStrategy,
 )
@@ -37,9 +37,8 @@ from .logic import (
     Rule,
     Signature,
     Term,
-    _Solver,
-    _base_solver,
     collect_signature,
+    consequences,
     entails,
     ground,
     ground_formula,
@@ -182,13 +181,15 @@ def _witness(base: BeliefBase, explanation: BeliefBase, phi: Explanandum,
 def check_reversion(base: BeliefBase, explanation: BeliefBase,
                     explanation2: BeliefBase, phi: Explanandum,
                     strategy: SelectionStrategy, cap: int = DEFAULT_CAP) -> bool:
-    """Equal unions and equal correction kernels must retract the same set.
+    """Equal unions must retract the same set.
 
-    Returns vacuously true when the antecedent fails.  Strategies that are not
-    pure functions of the candidate list cannot be checked and raise
-    NonDeterministicStrategy.
+    Equal unions have equal correction kernels: a union context's signature,
+    element order and subset answers are functions of the union and the
+    explanandum alone.  Returns vacuously true when the unions differ.
+    Strategies that are not pure functions of the candidate list cannot be
+    checked and raise NonDeterministicStrategy.
 
-    Each side lists its kernel and is revised on one union context.
+    Each side is validated and revised on its own union context.
     """
     if strategy.kind not in CANDIDATE_PURE_KINDS:
         raise NonDeterministicStrategy(
@@ -202,14 +203,8 @@ def check_reversion(base: BeliefBase, explanation: BeliefBase,
     union2 = {el.canonical() for el in union_elements(base, explanation2)}
     if union1 != union2:
         return True
-    # equal canonical unions sort identically, so equal indices name equal formulas
-    ctx1 = _UnionContext(base, explanation, phi, cap)
-    ctx2 = _UnionContext(base, explanation2, phi, cap)
-    if set(ctx1.kernel_indices()) != set(ctx2.kernel_indices()):
-        return True
-
-    first = _revise(ctx1, strategy)
-    second = _revise(ctx2, strategy)
+    first = _revise(_UnionContext(base, explanation, phi, cap), strategy)
+    second = _revise(_UnionContext(base, explanation2, phi, cap), strategy)
     return first.retracted.canonical_forms() == second.retracted.canonical_forms()
 
 
@@ -320,11 +315,12 @@ def random_instance(params: GeneratorParams,
         if base is None:
             continue
         sig = collect_signature([base, Signature(tuple(constants))])
-        solver, index = _base_solver(base, sig)
-        if solver.solve() is None:
+        try:
+            entailed = consequences(base, sig)
+        except InconsistentBase:
             continue
 
-        phi = _pick_explanandum(rng, sig, solver, index)
+        phi = _pick_explanandum(rng, sig, entailed)
         if phi is None:
             continue
         explanation = _explanation_for(rng, phi, predicates, constants)
@@ -341,25 +337,21 @@ def random_instance(params: GeneratorParams,
     raise GenerationFailed(f"no instance within {_MAX_ATTEMPTS} attempts for seed {params.seed}")
 
 
-def _pick_explanandum(rng: random.Random, sig: Signature, solver: _Solver,
-                      index: Mapping[str, int]) -> Explanandum | None:
+def _pick_explanandum(rng: random.Random, sig: Signature,
+                      entailed: frozenset[Literal]) -> Explanandum | None:
     """A random explanandum over the base's signature; with probability 0.55
     the complement of one literal the base entails, if it entails any.
 
-    `solver` holds the consistent ground base and `index` numbers its atom texts:
-    the base entails a literal iff the solver has no model under its
-    complement, and it entails nothing about an atom it never mentions.
+    `entailed` is the consistent base's `consequences` over `sig`, so it holds
+    at most one of each atom's two literals.
     """
     conflict = rng.random() < 0.55
     atoms = list(sig.herbrand_atoms())
     rng.shuffle(atoms)
     if conflict:
         for atom in atoms:
-            v = index.get(str(atom))
-            if v is None:
-                continue
-            for lit, complement in ((Literal(atom), -v), (Literal(atom, True), v)):
-                if solver.solve((complement,)) is None:
+            for lit in (Literal(atom), Literal(atom, True)):
+                if lit in entailed:
                     return Explanandum((lit.negate(),))
     width = 2 if rng.random() < 0.3 and len(atoms) > 1 else 1
     # Herbrand atoms are distinct, so the first `width` give distinct literals

@@ -15,7 +15,7 @@ subset checks are solves of one solver, under selector assumptions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -452,15 +452,6 @@ class RevisionResult:
     entails_explanandum: bool | None = None
     postulates: tuple[tuple[str, bool], ...] | None = None
     change_measure: "ChangeMeasure | None" = None
-
-    def annotated(self, postulates: tuple[tuple[str, bool], ...] | None = None,
-                  change_measure: "ChangeMeasure | None" = None) -> "RevisionResult":
-        out = self
-        if postulates is not None:
-            out = replace(out, postulates=postulates)
-        if change_measure is not None:
-            out = replace(out, change_measure=change_measure)
-        return out
 
 
 def base_from_elements(elements: Sequence[UnionElement]) -> BeliefBase:

@@ -103,10 +103,25 @@ class TestCheck:
 
     @pytest.mark.parametrize("name, text, message", [
         ("base.rk", "p(café).\n", "parse error at 1:6: unexpected character 'é'\n"),
-        # a statement line reports its column inside the statement text
+        # scenario errors report file positions
         ("s.scn", SCENARIO.replace("Fever(maria).", "Fever(maría)."),
-         "parse error at 7:10: unexpected character 'í'\n"),
+         "parse error at 7:27: unexpected character 'í'\n"),
         ("end.rk", "p(a) // no dot", "parse error at 1:6: expected dot, found 'end of input'\n"),
+        ("fact.scn", SCENARIO.replace("!HighTemperature(maria).",
+                                      "!HighTemperature(maria) & Fever(maria) Qux."),
+         "parse error at 10:40: expected eof, found 'Qux'\n"),
+        ("expl.scn", SCENARIO + "\n[explanation]\n// why the fact holds\n\n"
+                               "Cop(maria).   Cop(X) -> !HighTemperature(X) Bad.\n",
+         "parse error at 15:45: expected dot, found 'Bad'\n"),
+        ("dup.scn", SCENARIO + "\n[explanation]\n  Q(a). Q(a).  // twice\n",
+         "parse error at 13:14: duplicate formula: Q(a)\n"),
+        # lines end at \n only: a form feed ends no line, and inside one it is no blank
+        ("ff.scn", SCENARIO.replace("type = I\n\n", "type = I\n\f\n").replace(
+            "Fever(maria).", "Fever(maría)."), "parse error at 7:27: unexpected character 'í'\n"),
+        ("ffline.scn", SCENARIO.replace("!HighTemperature(maria).", "!HighTemperature(maria)\f."),
+         "parse error at 10:24: unexpected character '\\x0c'\n"),
+        ("nofact.scn", SCENARIO.replace("!HighTemperature(maria).", "// none"),
+         "parse error at 9:7: expected ident, found 'end of input'\n"),
     ])
     def test_parse_error_positions(self, tmp_path, capsys, name, text, message):
         path = tmp_path / name

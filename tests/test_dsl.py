@@ -166,6 +166,17 @@ class TestParseScenario:
         with pytest.raises(ParseError):
             parse_scenario(bad)
 
+    def test_crlf_lines(self):
+        # \r is a blank, so a CRLF file parses, and fails, as its LF twin does
+        assert parse_scenario(SCENARIO_OK.replace("\n", "\r\n")) == parse_scenario(SCENARIO_OK)
+        bad = SCENARIO_OK.replace("Worried(alice).", "Worried(alice)$.")
+        spans = []
+        for text in (bad, bad.replace("\n", "\r\n")):
+            with pytest.raises(ParseError) as err:
+                parse_scenario(text)
+            spans.append(err.value.span)
+        assert spans[0] == spans[1] == SourceSpan(10, 32)  # the file position of '$'
+
 
 class TestRender:
     def test_roundtrip_fixed_point(self, alice_base):

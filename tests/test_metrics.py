@@ -13,7 +13,6 @@ from revisekit import (
     UnknownLabel,
     change_measure,
     classify_revision,
-    collect_signature,
     parse_base,
     parse_literals,
     parse_scenario,
@@ -163,12 +162,11 @@ def _to_base(indices):
 @settings(max_examples=120, deadline=None)
 @given(_fact_bases(), _fact_bases())
 def test_measure_symmetry_and_range(a, b):
-    sig = collect_signature([a, b, _FACT_POOL])
-    forward = change_measure(a, b, sig)
-    backward = change_measure(b, a, sig)
+    forward = change_measure(a, b)
+    backward = change_measure(b, a)
     assert forward.value == backward.value
     assert 0 <= forward.value <= 1
-    assert change_measure(a, a, sig).value == 0
+    assert change_measure(a, a).value == 0
 
 
 class TestStatementChanges:

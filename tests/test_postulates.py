@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from revisekit import (
@@ -21,10 +24,11 @@ from revisekit import (
     union_elements,
     validate_explanation,
 )
-from revisekit.logic import ground_formula
+from revisekit.errors import InconsistentBase
+from revisekit.logic import Literal, Signature, ground_formula
 from revisekit.postulates import _ROTATION, POSTULATE_NAMES, baseline_fixture, reversion_pair
 from revisekit.revision import CANDIDATE_PURE_KINDS, Explanandum, RevisionResult
-from revisekit import falappa, revision
+from revisekit import falappa, logic, postulates, revision
 
 
 def phi_of(text):
@@ -178,12 +182,25 @@ class TestCheckReversion:
                                SelectionStrategy("min-cardinality"))
 
     def test_sat_calls_pinned(self, sat_calls):
-        # Each side is validated, listed and revised on one context; the
-        # revision of a side reuses the consistency answers of its listing.
+        # Each side is validated and revised on its own context; equal unions
+        # have equal kernels, so neither side lists its kernel.
         base, e1, e2, phi = reversion_pair(0)
         assert check_reversion(base, e1, e2, phi, SelectionStrategy("min-cardinality"))
         assert sat_calls["is_consistent"] > 0 and sat_calls["entails"] > 0
-        assert sat_calls == {"is_consistent": 30, "entails": 10}
+        assert sat_calls == {"is_consistent": 6, "entails": 10}
+
+    def test_lists_no_kernel(self, monkeypatch):
+        # the only kernel walks are the prefixes the two revisions read
+        calls = Counter()
+        for name in ("kernel_indices", "admissible"):
+            def counted(self, name=name, method=getattr(revision._UnionContext, name)):
+                calls[name] += 1
+                return method(self)
+            monkeypatch.setattr(revision._UnionContext, name, counted)
+        for seed in range(5):
+            base, e1, e2, phi = reversion_pair(seed)
+            assert check_reversion(base, e1, e2, phi, SelectionStrategy("min-cardinality"))
+        assert calls == {"kernel_indices": 10, "admissible": 10}
 
 
 class TestRandomInstance:
@@ -214,6 +231,58 @@ class TestRandomInstance:
         bases = {tuple(sorted(random_instance(GeneratorParams(seed=s))[0].canonical_forms()))
                  for s in range(15)}
         assert len(bases) > 5
+
+
+def _solver_pick(rng, sig, base):
+    """The explanandum pick as made on a raw solver of the base: the base
+    entails a literal iff the solver has no model under its complement, and
+    nothing about an atom it never mentions."""
+    solver, index = logic._base_solver(base, sig)
+    conflict = rng.random() < 0.55
+    atoms = list(sig.herbrand_atoms())
+    rng.shuffle(atoms)
+    if conflict:
+        for atom in atoms:
+            v = index.get(str(atom))
+            if v is None:
+                continue
+            for lit, complement in ((Literal(atom), -v), (Literal(atom, True), v)):
+                if solver.solve((complement,)) is None:
+                    return Explanandum((lit.negate(),))
+    width = 2 if rng.random() < 0.3 and len(atoms) > 1 else 1
+    picked = tuple(Literal(atom, rng.random() < 0.4) for atom in atoms[:width])
+    return Explanandum(picked) if picked else None
+
+
+class TestPickExplanandum:
+    @pytest.mark.parametrize("params", [
+        GeneratorParams(), GeneratorParams(constant_count=0),
+        GeneratorParams(max_arity=2, constant_count=3, rule_count=3),
+        GeneratorParams(predicate_count=4, max_arity=2, fact_probability=0.9),
+    ])
+    def test_matches_solver_pick(self, params):
+        rng = random.Random(repr(params))
+        constants = [f"c{i}" for i in range(1, params.constant_count + 1)]
+        predicates = [(f"p{i}", rng.randint(0, params.max_arity) if constants else 0)
+                      for i in range(1, params.predicate_count + 1)]
+        bases = [BeliefBase(), parse_base("p1 & p2 -> p3.")]  # bases that entail nothing
+        while len(bases) < 150:
+            if (base := postulates._random_base(rng, params, predicates, constants)) is not None:
+                bases.append(base)
+        inconsistent = 0
+        for i, base in enumerate(bases):
+            sig = collect_signature([base, Signature(tuple(constants))])  # as the generator's
+            try:
+                entailed = logic.consequences(base, sig)
+            except InconsistentBase:
+                assert logic._base_solver(base, sig)[0].solve() is None
+                inconsistent += 1
+                continue
+            reference, changed = random.Random(i), random.Random(i)
+            expected = _solver_pick(reference, sig, base)
+            assert postulates._pick_explanandum(changed, sig, entailed) == expected
+            assert changed.getstate() == reference.getstate()
+        assert 0 < inconsistent < len(bases) - 50
 
 
 class TestCheckPropositions:
