@@ -341,6 +341,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (RevisekitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    except (RecursionError, MemoryError) as exc:  # input too deep or too large to process
+        print(f"error: {type(exc).__name__} {exc}".rstrip(), file=sys.stderr)
+        return EXIT_FAILURE
 
 
 if __name__ == "__main__":

@@ -486,11 +486,15 @@ class _Solver:
     """One clause set, decided many times under different assumptions.
 
     The occurrence lists are built once, and the unit clauses are put on the
-    trail and propagated once, at the root.  Each `solve` undoes the previous
-    query back to the root, so no query sees another's assumptions.
+    trail and propagated once, at the root.  Above the root the trail holds
+    the assumptions in force, `assumed`, each propagated in turn: marks[j] is
+    the trail length before assumption j, and trail[:marks[j]] the unit
+    propagation closure of the root and assumed[:j].  Decisions, and an
+    assumption that conflicted, lie above marks[-1] until the next `solve`
+    undoes them (van der Tak, Ramos & Heule, JSAT 2011).
     """
 
-    __slots__ = ("clauses", "occurs", "true", "trail", "root")
+    __slots__ = ("clauses", "occurs", "true", "trail", "root", "assumed", "marks")
 
     def __init__(self, clauses: list[list[int]]):
         self.clauses = clauses
@@ -498,6 +502,7 @@ class _Solver:
         true: set[int] = set()
         trail: list[int] = []
         self.occurs, self.true, self.trail = occurs, true, trail
+        self.assumed: list[int] = []
         self.root: int | None = None  # trail length after root propagation; None if unsatisfiable
         for clause in clauses:
             if len(clause) == 1:
@@ -516,34 +521,50 @@ class _Solver:
                     occurs.setdefault(-lit, []).append(clause)
         if not _propagate(occurs, true, trail, 0):
             self.root = len(trail)
+            self.marks = [self.root]
 
     def solve(self, assumptions: Iterable[int] = ()) -> set[int] | None:
         """The literals of one assignment satisfying every clause and assumption, or None.
 
-        Iterative DPLL: the assumptions are pushed above the root and
-        propagated, then the search branches and backtracks chronologically,
-        flipping the most recent unflipped decision.  Every clause is
-        satisfied by the returned literals, so any variable they leave out
-        can take either value.  The returned set is the solver's own state:
-        it stays valid only until the next `solve` call.
+        Iterative DPLL: the trail is undone only down to the longest prefix
+        these assumptions share with the ones in force, and the rest are
+        pushed and propagated one at a time.  Then the search branches and
+        backtracks chronologically, flipping the most recent unflipped
+        decision.  The closure of the root and an assumption prefix is unique,
+        and branching reads only the `true` set and the clause order, so the
+        answer and model equal a fresh solver's.  Every clause is satisfied by
+        the returned literals, so any variable they leave out can take either
+        value.  The returned set is the solver's own state: it stays valid
+        only until the next `solve` call.
         """
-        root = self.root
-        if root is None:
+        if self.root is None:
             return None
         clauses, occurs, true, trail = self.clauses, self.occurs, self.true, self.trail
-        if len(trail) > root:
-            for undone in trail[root:]:
-                true.discard(undone)
-            del trail[root:]
-        for lit in assumptions:
+        assumed, marks = self.assumed, self.marks
+        assumptions = list(assumptions)
+        kept = 0
+        for old, lit in zip(assumed, assumptions):
+            if old != lit:
+                break
+            kept += 1
+        mark = marks[kept]
+        for undone in trail[mark:]:
+            true.discard(undone)
+        del trail[mark:], assumed[kept:], marks[kept + 1:]
+        for lit in assumptions[kept:]:
             if -lit in true:
                 return None
             if lit not in true:
                 true.add(lit)
                 trail.append(lit)
+                if lit in occurs and _propagate(occurs, true, trail, mark):
+                    return None  # the next solve undoes it down to this mark
+            mark = len(trail)
+            assumed.append(lit)
+            marks.append(mark)
         # each decision: (trail length before it, literal, branch scan position, flipped)
         decisions: list[tuple[int, int, int, bool]] = []
-        head = root
+        head = mark
         scan = 0
         while True:
             if _propagate(occurs, true, trail, head):
@@ -710,11 +731,13 @@ def _backbone(solver: _Solver, index: Mapping[str, int], assumptions: list[int],
     the atom texts in sorted order and `formulas` are the premises.
 
     One model is found first; only the literals it makes true can be
-    entailed.  Each remaining candidate, in canonical atom order, is probed by
+    entailed.  Those on its trail below the first decision follow by unit
+    propagation from the root and the assumptions, so they are entailed with
+    no probe.  Each remaining candidate, in canonical atom order, is probed by
     one search under its complement as a further assumption: no model means it
     is entailed, and a model drops every candidate that model does not make
     true.  Atoms no clause in force mentions are free, so only atoms the
-    search assigns inside the Herbrand base are probed.  Only the entailed
+    search assigns inside the Herbrand base are candidates.  Only the entailed
     literals are built: a premise fact is entailed as stated and returned as
     that very literal, and new atoms over the same constants share one tuple
     of terms.  Raises InconsistentBase when there is no model.
@@ -723,6 +746,7 @@ def _backbone(solver: _Solver, index: Mapping[str, int], assumptions: list[int],
     if model is None:
         raise InconsistentBase("consequences undefined: base has no model")
     candidates = set(model)
+    fixed = set(solver.trail[:solver.marks[-1]])
     probe = [*assumptions, 0]  # the assumptions, then the candidate's complement
     predicates = set(sig.predicates)
     constants = set(sig.constants)
@@ -741,17 +765,17 @@ def _backbone(solver: _Solver, index: Mapping[str, int], assumptions: list[int],
         lit = v if v in candidates else -v
         if lit not in candidates:
             continue
-        probe[-1] = -lit
-        other = solver.solve(probe)
-        if other is None:
-            if (fact := facts.get(text)) is not None:
-                out.append(fact)
+        if lit not in fixed:
+            probe[-1] = -lit
+            if (other := solver.solve(probe)) is not None:
+                candidates &= other
                 continue
-            if (terms := terms_of.get(rest)) is None:
-                terms = terms_of[rest] = tuple(Term(a) for a in args)
-            out.append(Literal(Atom(predicate, terms), lit < 0))
-        else:
-            candidates &= other
+        if (fact := facts.get(text)) is not None:
+            out.append(fact)
+            continue
+        if (terms := terms_of.get(rest)) is None:
+            terms = terms_of[rest] = tuple(Term(a) for a in args)
+        out.append(Literal(Atom(predicate, terms), lit < 0))
     return frozenset(out)
 
 

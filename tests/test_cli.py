@@ -356,6 +356,20 @@ class TestSuite:
         assert "informational" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("error, line", [
+    (RecursionError("maximum recursion depth exceeded"),
+     "error: RecursionError maximum recursion depth exceeded\n"),
+    (MemoryError(), "error: MemoryError\n"),
+])
+def test_resource_errors_exit_1(base_file, capsys, monkeypatch, error, line):
+    def command(args):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "check", command)
+    assert cli.main(["check", str(base_file)]) == 1
+    assert capsys.readouterr().err == line
+
+
 def test_json_output_independent_of_hash_seed():
     commands = (["corpus", "--format=json"], ["suite", "--trials=50", "--format=json"])
     outputs = []

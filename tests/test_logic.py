@@ -285,6 +285,56 @@ class TestSolver:
                 assert not any(-l in model for l in model)
         assert min(seen.values()) >= 10, seen
 
+    def test_trail_reuse_matches_fresh_solver(self):
+        # each query derives from the one before, so the solver keeps the
+        # shared prefix on its trail; every answer, and every model as a set,
+        # must equal that of a fresh solver given the same query
+        rng = random.Random(2011)
+        seen: Counter = Counter()
+        for trial in range(150):
+            nvars = rng.randint(3, 7)
+            unit = rng.choice((1, -1)) * rng.randint(1, nvars)
+            a, b = nvars + 1, nvars + 2  # assuming a propagates b and !b
+            clauses = _random_clauses(rng, nvars) + [[unit], [-a, b], [-a, -b]]
+            rng.shuffle(clauses)
+            solver = _Solver(clauses)
+            if solver.root is None:
+                continue
+
+            def draw(k):
+                return [v if rng.random() < 0.5 else -v
+                        for v in rng.sample(range(1, nvars + 1), k)]
+
+            def check(query):
+                # a tuple or an iterator is as good as a list
+                got = solver.solve(rng.choice((list, tuple, iter))(query))
+                fresh = _Solver(clauses).solve(query)
+                assert (got is None) == (fresh is None), (clauses, query)
+                assert got is None or got == fresh, (clauses, query)
+                seen["sat" if got is not None else "unsat"] += 1
+
+            query = draw(rng.randint(0, 3))
+            check(query)
+            for step in range(10):
+                kind = rng.choice(("suffix", "repeat", "root unit", "conflict", "empty"))
+                kept = query[:rng.randint(0, len(query))]
+                if kind == "suffix":
+                    query = kept + draw(rng.randint(1, 3))
+                elif kind == "root unit":
+                    query = kept + [-unit] + draw(rng.randint(0, 2))
+                elif kind == "conflict":
+                    check(kept + [a] + draw(rng.randint(0, 2)))
+                    if _Solver(clauses).solve(kept) is not None:
+                        # pushing a conflicted: only the assumptions before it stay
+                        assert solver.assumed == kept
+                        seen["mid conflict"] += 1
+                    query = kept + draw(rng.randint(0, 3))
+                elif kind == "empty":
+                    query = []
+                check(query)
+                seen[kind] += 1
+        assert min(seen.values()) >= 10, seen
+
     def test_consequences_builds_one_solver(self, monkeypatch, measure_base, measure_explanation):
         built = []
 
@@ -379,6 +429,52 @@ class TestConsequences:
             names = {str(l) for l in gamma}
             assert all(str(l.negate()) not in names for l in gamma)
             assert {str(st.formula) for st in base.facts} <= names
+
+    def test_backbone_probes_what_propagation_leaves_open(self, monkeypatch, measure_base,
+                                                          measure_explanation):
+        # literals fixed by unit propagation are taken with no probe, so count
+        # the solves: one model, then one probe per candidate left open
+        solves = []
+        solve = _Solver.solve
+
+        def counted(self, assumptions=()):
+            solves.append(1)
+            return solve(self, assumptions)
+
+        monkeypatch.setattr(_Solver, "solve", counted)
+        # every entailed literal of the walkthrough's prior propagates from its facts
+        sig = collect_signature([measure_base, measure_explanation])
+        assert len(consequences(measure_base, sig)) == 4
+        assert len(solves) == 1
+        # `p -> q` and `!p -> q` entail q only through a decision: q and the
+        # first model's value of p are both probed
+        solves.clear()
+        base = parse_base("p -> q. !p -> q.")
+        assert consequences(base, collect_signature([base])) == {lit("q")}
+        assert len(solves) == 3
+        # the same under a subset solver's selectors, on every consistent subset
+        formulas = parse_base("p -> q. !p -> q. r -> !q. r. s -> p. s.").formulas
+        sig = collect_signature([formulas])
+        subsets = logic._SubsetSolver(formulas, sig, (lit("q"),))
+        seen = Counter()
+        for kept in range(1 << len(formulas)):
+            premises = [f for i, f in enumerate(formulas) if kept >> i & 1]
+            models = enumerate_models(ground(BeliefBase.from_formulas(premises), sig).formulas, sig)
+            if not models:
+                with pytest.raises(InconsistentBase):
+                    subsets.consequences(kept)
+                continue
+            expected = {Literal(atom, not values.pop())
+                        for i, atom in enumerate(models[0].atoms)
+                        if len(values := {m.values[i] for m in models}) == 1}
+            assert subsets.consequences(kept) == expected, premises
+            # with both of `s -> p` and `s`, p and so q propagate
+            seen["q by decision"] += kept & 0b11 == 0b11 and kept & 0b110000 != 0b110000
+        assert seen["q by decision"] == 9, seen
+        # there, as under any selectors, what the assumptions propagate is not probed
+        solves.clear()
+        assert {str(l) for l in subsets.consequences(0b110011)} == {"p", "q", "s"}
+        assert len(solves) == 1
 
     def test_backbone_matches_truth_table(self):
         # bases with rules over two constants; the consequences must be

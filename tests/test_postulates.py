@@ -151,6 +151,23 @@ class TestCheckReversion:
         assert check_reversion(base, e1, e2, phi,
                                SelectionStrategy("seeded-random", seed=9))
 
+    def test_tie_across_sources(self):
+        # The smallest admissible sets are {a}, {a & t -> !g} and {t}, and `a`
+        # is explanation-sourced in e1 only, so a pick that reads where an
+        # element came from retracts different sets on the two sides.
+        base = parse_base("a. b. t. a & s -> g. b & s -> g. a & t -> !g.")
+        e1 = parse_base("s. a. a & s -> g.")
+        e2 = parse_base("s. b. b & s -> g.")
+        phi = phi_of("g")
+        for e, sourced in ((e1, True), (e2, False)):
+            ctx = revision._UnionContext(base, e, phi, revision.DEFAULT_CAP)
+            smallest = [[(el.canonical(), el.from_explanation) for el in cs]
+                        for cs in ctx.admissible() if len(cs) == 1]
+            assert smallest == [[("a", sourced)], [("a & t -> !g", False)], [("t", False)]]
+        for kind in ("min-cardinality", "max-cardinality", "weighted"):
+            assert check_reversion(base, e1, e2, phi, SelectionStrategy(kind))
+        assert check_reversion(base, e1, e2, phi, SelectionStrategy("seeded-random", seed=9))
+
     def test_vacuous_when_kernels_differ(self, charlie_base, charlie_explanation, charlie_phi):
         other = parse_base("Cop(charlie). Cop(X) -> !Ins(X).")
         assert check_reversion(charlie_base, charlie_explanation, other, charlie_phi,
