@@ -199,7 +199,7 @@ def cmd_revise(args: argparse.Namespace) -> int:
         with redirect_stdout(sys.stderr) if args.format == "json" else nullcontext():
             result = revise(base, explanation, phi, _guided_strategy(args), cap)
 
-    report = postulates.check_postulates(base, explanation, phi, result, cap)
+    report = postulates.check_postulates(base, explanation, phi, result)
     if args.operator == "falappa":
         result = replace(result, explanandum=phi,
                          entails_explanandum=report.holds("strong-acceptance"))

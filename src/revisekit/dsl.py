@@ -42,9 +42,8 @@ from .logic import (
     Rule,
     Statement,
     Term,
+    _SubsetSolver,
     collect_signature,
-    ground,
-    is_consistent,
 )
 
 # --- tokenizer --------------------------------------------------------------
@@ -57,6 +56,9 @@ _PUNCT = {"!": "bang", "&": "amp", ".": "dot", ",": "comma", "(": "lparen",
 # `logic._IDENT`'s rule, so every identifier token is a valid `Term`/`Atom` name.
 _LEXEME = re.compile(r"(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<arrow>->)|(?P<punct>[!&.,():])"
                      r"|(?P<newline>\n+)|[ \t\r]+|(?P<comment>//[^\n]*)|(?P<bad>.)")
+
+# The blanks `_LEXEME` skips, and the only ones a scenario line with content is stripped of.
+_BLANKS = " \t\r"
 
 # (kind, text, line, column): kind is ident | bang | amp | arrow | dot | comma
 # | lparen | rparen | colon | eof.  Spans are built only for errors (`_span`).
@@ -273,17 +275,19 @@ def _split_sections(text: str) -> dict[str, list[_Line]]:
     """Each section's content lines, keyed by name; the first entry of each
     list is the position just after its header, with empty text.
 
-    Lines end at `\n` only, as in the tokenizer, so spans count lines one way."""
+    Lines end at `\n` only, and a line with content is stripped of the
+    tokenizer's blanks (` \t\r`) only, so spans count lines and columns one
+    way; a line of whitespace alone is blank."""
     sections: dict[str, list[_Line]] = {}
     current: str | None = None
     for lineno, rawline in enumerate(text.split("\n"), start=1):
         content = rawline.split("//", 1)[0]
-        line = content.strip()
-        if not line:
+        if not content.strip():
             continue
-        column = len(content) - len(content.lstrip()) + 1
+        line = content.strip(_BLANKS)
+        column = len(content) - len(content.lstrip(_BLANKS)) + 1
         if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip().lower()
+            current = line[1:-1].strip(_BLANKS).lower()
             if current in sections:
                 raise ParseError(f"duplicate section [{current}]", SourceSpan(lineno, column, len(line)))
             sections[current] = [(lineno, column + len(line), "")]
@@ -382,9 +386,8 @@ def _check_scenario_invariants(sc: Scenario) -> None:
         raise ScenarioInvalid("fact-size", f"type {sc.problem_type} facts carry exactly 1 literal")
 
     base = sc.belief_base()
-    sig = collect_signature([base, sc.fact])
-    gb = ground(base, sig)
-    if is_consistent(tuple(gb.formulas) + sc.fact):
+    checks = _SubsetSolver((*base.formulas, *sc.fact), collect_signature([base, sc.fact]), ())
+    if checks.satisfiable((1 << len(checks.formulas)) - 1, False):
         raise ScenarioInvalid("fact-consistent-with-statements",
                               "the fact must conflict with what the statements imply")
 

@@ -8,26 +8,27 @@ classically on the resulting ground formulas.
 
 Two engines are kept deliberately independent:
 
-  * `is_consistent` / `entails` / `consequences` and `_SubsetSolver` (the
-    subset checks of explanation validation and of `revision`'s union
-    contexts, and their consequence sets) decide integer clauses with a
+  * `_SubsetSolver` and `consequences` decide integer clauses with a
     `_Solver`.  They never build the ground formulas: each formula is
     compiled once per call into literal templates (an atom's text with a
     slot per variable, and the literal's sign in the clause), whose
     instances over the constants are tuples of (atom text, sign) pairs
     (`_instances`).  `_index` numbers the atom texts in sorted order and
     `_clauses` turns the instances into sorted integer clauses, skipping
-    tautological ones.  The solver builds the occurrence
-    lists once per clause set and propagates the unit clauses once, at the
-    root; each query is then a complete iterative search under a list of
-    assumption literals (unit propagation, an explicit trail and
-    chronological backtracking), so input size is bounded by memory, not
-    recursion depth.  `is_consistent` and `entails` ask one query
-    (`_solve`).  Consequence sets come from one backbone routine
-    (`_backbone`), which asks one solver for every candidate with the
-    candidate's complement as a further assumption: `consequences` runs it
-    with no other assumption on a base's own solver, and
-    `_SubsetSolver.consequences` under a kept subset's selectors;
+    tautological ones.  The solver builds the occurrence lists once per
+    clause set and propagates the unit clauses once, at the root; each query
+    is then a complete iterative search under a list of assumption literals
+    (unit propagation, an explicit trail and chronological backtracking), so
+    input size is bounded by memory, not recursion depth.  Every consistency
+    or entailment check is a `_SubsetSolver` check: explanation validation,
+    `revision`'s union contexts, the postulate checks, and `is_consistent`
+    and `entails`, each one check keeping every formula.  Consequence sets
+    come from one backbone routine (`_backbone`), which asks one solver for
+    every candidate with the candidate's complement as a further assumption:
+    `_SubsetSolver.consequences` under a kept subset's selectors, and
+    `consequences` with no other assumption on a base's own selector-free
+    solver (`_base_solver`): on the bases of the `measure` benchmark,
+    selectors made both consequence sets of a pair 10-20% slower;
   * `ground_formula` / `ground` build the ground formulas as objects, and
     `enumerate_models` evaluates them semantically over every
     interpretation of the Herbrand base.  This object-level path is the
@@ -602,11 +603,6 @@ class _Solver:
             trail.append(branch)
 
 
-def _solve(clauses: list[list[int]]) -> set[int] | None:
-    """The literals of one satisfying partial assignment, or None if unsatisfiable."""
-    return _Solver(clauses).solve()
-
-
 def _base_solver(base: BeliefBase, sig: Signature) -> tuple[_Solver, dict[str, int]]:
     """One solver over the base's ground instances, duplicates kept once at
     their first occurrence as `ground` keeps them, and its atom numbering."""
@@ -617,34 +613,31 @@ def _base_solver(base: BeliefBase, sig: Signature) -> tuple[_Solver, dict[str, i
 
 def is_consistent(formulas: Iterable[GroundFormula]) -> bool:
     """True iff at least one interpretation satisfies every ground formula."""
-    instances = [_instance(gf) for gf in formulas]
-    return _solve(_clauses(instances, _index([instances]))) is not None
-
-
-def _as_literals(phi: Union[Literal, Iterable[Literal]]) -> tuple[Literal, ...]:
-    lits = (phi,) if isinstance(phi, Literal) else tuple(phi)
-    if not lits:
-        raise ValueError("explanandum conjunction must be nonempty")
-    for lit in lits:
-        if not lit.is_ground:
-            raise ValueError(f"explanandum literal is not ground: {lit}")
-    return lits
+    return _all_of(formulas, (), False)
 
 
 def entails(formulas: Iterable[GroundFormula], phi: Union[Literal, Iterable[Literal]]) -> bool:
     """Classical entailment of a conjunction of ground literals.
 
-    Decided by refutation: the negation of the conjunction is one clause, and
-    the query holds iff formulas plus that clause are unsatisfiable.  An
-    inconsistent premise set entails everything.
+    Decided by refutation: the query holds iff the formulas plus the negated
+    conjunction are unsatisfiable.  An inconsistent premise set entails
+    everything.
     """
-    lits = _as_literals(phi)
-    instances = [_instance(gf) for gf in formulas]
-    index = _index([instances], (l.atom._text for l in lits))
-    clauses = _clauses(instances, index)
-    if negated := _refutation(lits, index):
-        clauses.append(negated)
-    return _solve(clauses) is None
+    lits = (phi,) if isinstance(phi, Literal) else tuple(phi)
+    if not lits:
+        raise ValueError("explanandum conjunction must be nonempty")
+    return not _all_of(formulas, lits, True)
+
+
+def _all_of(formulas: Iterable[GroundFormula], phi: Sequence[Literal], refute_phi: bool) -> bool:
+    """Whether the formulas, and the negated conjunction `phi` if `refute_phi`,
+    have a model: one check of a `_SubsetSolver` that keeps every formula.
+    Raises ValueError on a formula or literal with a variable."""
+    formulas = tuple(formulas)
+    for part in (*formulas, *phi):
+        if part.variables():
+            raise ValueError(f"not ground: {part}")
+    return _SubsetSolver(formulas, Signature(), phi).satisfiable((1 << len(formulas)) - 1, refute_phi)
 
 
 def _refutation(lits: Sequence[Literal], index: Mapping[str, int]) -> list[int]:
@@ -665,7 +658,7 @@ class _SubsetSolver:
     dropped formula's clause satisfied at its first literal.  A check assumes
     s_i for each kept formula, !s_i for each dropped one and s_phi only for
     entailment, so it is one `_Solver.solve` that never branches on a selector
-    (Een & Sorensson, SAT 2003) and answers as a fresh `is_consistent`/`entails`."""
+    (Een & Sorensson, SAT 2003): its answer is that of the kept formulas alone."""
 
     __slots__ = ("formulas", "sig", "instances", "phi", "_solver", "_index", "_selectors")
 

@@ -11,8 +11,9 @@ canonical candidate list; the generator builds dedicated instance pairs with
 different explanations but identical unions (hence identical kernels) to give
 the check real bite.
 
-A trial grounds its union once, for the operator: the generator only counts
-it, and the checks ground on their own (see check_postulates).
+A trial grounds its union once for the operator and once for the checks,
+which are subset checks of one `_SubsetSolver` (see check_postulates); the
+generator only counts it.
 """
 
 from __future__ import annotations
@@ -37,12 +38,9 @@ from .logic import (
     Rule,
     Signature,
     Term,
+    _SubsetSolver,
     collect_signature,
     consequences,
-    entails,
-    ground,
-    ground_formula,
-    is_consistent,
 )
 from .revision import (
     CANDIDATE_PURE_KINDS,
@@ -57,7 +55,6 @@ from .revision import (
     _UnionContext,
     _ground_size,
     _revise,
-    revise,
     union_elements,
     validate_explanation,
 )
@@ -100,59 +97,52 @@ class PostulateReport:
 
 
 def check_postulates(base: BeliefBase, explanation: BeliefBase, phi: Explanandum,
-                     result: RevisionResult, cap: int = DEFAULT_CAP,
-                     strategy: SelectionStrategy | None = None) -> PostulateReport:
+                     result: RevisionResult) -> PostulateReport:
     """Evaluate the seven postulates on one produced revision.
 
-    Conditional postulates are true when their antecedent does not apply.  The
-    reversion entry re-runs the revision against a reordered explanation when
-    the strategy is a pure function of the candidate list and is recoverable
-    (pass `strategy` to cover weighted selections); otherwise it is vacuously
-    true here and check_reversion covers the interesting cases.
+    Conditional postulates are true when their antecedent does not apply.
+    Reversion is true here: `union_elements` makes a reordered explanation's
+    union, and so its revision, the same by construction, and check_reversion
+    covers different explanations with equal unions.
 
-    Each union element is grounded once, on this function's own signature; the
-    checks are fresh SAT calls and the rerun a full `revise`.
+    The four checks are masks on one `_SubsetSolver`, over this function's own
+    signature, of the union elements, any revised formula outside the union
+    (which fails inclusion) and the explanandum's literals.
     """
-    sig = collect_signature([base, explanation, phi.literals])
-    union = union_elements(base, explanation)
-    grounded = {el.canonical(): ground_formula(el.formula, sig) for el in union}
-    union_forms = frozenset(grounded)
+    elements = {el.canonical(): el.formula for el in union_elements(base, explanation)}
+    union_forms = frozenset(elements)
+    for formula in (*result.revised.formulas, *phi.literals):
+        elements.setdefault(str(formula), formula)
+    bit = {canon: 1 << i for i, canon in enumerate(elements)}
 
-    def grounding(statements) -> tuple:  # as `ground`; a formula outside the union fails inclusion
-        return tuple(dict.fromkeys(gf for st in statements for gf in (
-            grounded.get(st.canonical()) or ground_formula(st.formula, sig))))
+    def mask(forms) -> int:  # one bit per canonical form
+        kept = 0
+        for canon in forms:
+            kept |= bit[canon]
+        return kept
 
-    union_consistent = is_consistent(grounding(union))
-
-    revised_ground = grounding(result.revised.statements)
+    checks = _SubsetSolver(elements.values(),
+                           collect_signature([base, explanation, phi.literals]), phi.literals)
+    union_consistent = checks.satisfiable(mask(union_forms), False)
     revised_forms = result.revised.canonical_forms()
+    revised = mask(revised_forms)
 
     inclusion = revised_forms <= union_forms
     vacuity = (not union_consistent) or (
         revised_forms == union_forms and not result.retracted.elements
     )
-    consistency = union_consistent or is_consistent(revised_ground)
-    strong = entails(revised_ground, phi.literals)
-    base_ground = grounding(base.statements)
-    rejects_phi = not is_consistent(base_ground + phi.literals)
+    consistency = union_consistent or checks.satisfiable(revised, False)
+    strong = not checks.satisfiable(revised, True)
+    rejects_phi = not checks.satisfiable(
+        mask(base.canonical_forms() | {str(lit) for lit in phi.literals}), False)
     constrained = rejects_phi or strong
     unconstrained = (not rejects_phi) or strong
-
-    reversion = True
-    rerun_strategy = strategy
-    if rerun_strategy is None and result.strategy in (MIN_CARDINALITY, MAX_CARDINALITY,
-                                                      SEEDED_RANDOM):
-        rerun_strategy = SelectionStrategy(result.strategy, seed=result.seed)
-    if rerun_strategy is not None and rerun_strategy.kind in CANDIDATE_PURE_KINDS:
-        permuted = BeliefBase(tuple(reversed(explanation.statements)))
-        rerun = revise(base, permuted, phi, rerun_strategy, cap)
-        reversion = rerun.retracted.canonical_forms() == result.retracted.canonical_forms()
 
     results = (
         ("inclusion", inclusion),
         ("vacuity", vacuity),
         ("consistency", consistency),
-        ("reversion", reversion),
+        ("reversion", True),
         ("constrained-acceptance", constrained),
         ("unconstrained-acceptance", unconstrained),
         ("strong-acceptance", strong),
@@ -445,8 +435,8 @@ def _baseline_strong_acceptance(seed: int) -> tuple[SuiteFailure, ...]:
                    falappa.IncisionPolicy("min-hitting-set"),
                    falappa.IncisionPolicy("seeded-random", seed=seed)):
         result = falappa.revise_falappa(base, explanation, policy)
-        revised_ground = ground(result.revised, sig).formulas
-        if not entails(revised_ground, phi.literals):
+        revised = _SubsetSolver(result.revised.formulas, sig, phi.literals)
+        if revised.satisfiable((1 << len(revised.formulas)) - 1, True):
             out.append(SuiteFailure(
                 "strong-acceptance", seed,
                 _witness(base, explanation, phi, result)))
@@ -481,7 +471,7 @@ def check_propositions(params: GeneratorParams, trials: int,
         if operator == "falappa":
             result = falappa.revise_falappa(
                 base, explanation, falappa.IncisionPolicy("min-hitting-set"), cap)
-            report = check_postulates(base, explanation, phi, result, cap)
+            report = check_postulates(base, explanation, phi, result)
             for name in report.failing:
                 baseline.append(SuiteFailure(name, seed, dict(report.witnesses)[name]))
             continue
@@ -493,7 +483,7 @@ def check_propositions(params: GeneratorParams, trials: int,
         result = _revise(_UnionContext(base, explanation, phi, cap), strategy)
         if not result.union_consistent:
             inconsistent_unions += 1
-        report = check_postulates(base, explanation, phi, result, cap, strategy=strategy)
+        report = check_postulates(base, explanation, phi, result)
         for name in report.failing:
             failures.append(SuiteFailure(name, seed, dict(report.witnesses)[name]))
 

@@ -27,7 +27,7 @@ from .logic import (
     Literal,
     Signature,
     Statement,
-    _solve,
+    _Solver,
     _SubsetSolver,
     collect_signature,
 )
@@ -311,7 +311,7 @@ class _UnionContext:
         blocking: list[list[int]] = []
         msses: list[int] = []
         muses: list[int] = []
-        while (model := _solve(blocking)) is not None:
+        while (model := _Solver(blocking).solve()) is not None:
             seed = sum(1 << i for i in range(n) if -(i + 1) not in model)
             ok = self.consistent(seed)
             # grow adds, shrink drops, ascending; the block names that side: MSS outside, MUS inside

@@ -21,10 +21,11 @@ from revisekit import (
 
 @pytest.fixture
 def sat_calls(monkeypatch) -> Counter:
-    """Counts the SAT calls made through `revision`, by function name.
-    Explanation validation and the union contexts decide each subset check
-    by one solve of a `logic._SubsetSolver`, counted as `is_consistent` or,
-    with the explanandum refuted, as `entails`."""
+    """Counts the SAT calls of every `logic._SubsetSolver` check, by kind.
+    Explanation validation, the union contexts, the postulate checks, the
+    scenario invariant and `is_consistent`/`entails` themselves each decide a
+    check by one solve, counted as `is_consistent` or, with the explanandum
+    refuted, as `entails`."""
     from revisekit import logic
 
     calls: Counter = Counter()

@@ -315,7 +315,8 @@ class TestSharedContext:
         # prior consequence set is read once per entry (36 rows + 15, not 72),
         # on the solver the subset checks built: a read is no counted SAT call
         assert calls == {"kernel_indices": 6, "context_reads": 51}
-        assert sum(sat_calls.values()) == 158
+        # 158 subset checks of the replay, plus one scenario invariant per entry
+        assert sum(sat_calls.values()) == 173
         assert len(rows) == 36
         monkeypatch.undo()
         for entry, result, out in rows:

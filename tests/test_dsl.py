@@ -177,6 +177,20 @@ class TestParseScenario:
             spans.append(err.value.span)
         assert spans[0] == spans[1] == SourceSpan(10, 32)  # the file position of '$'
 
+    @pytest.mark.parametrize("line", ["\fCopingStrategies(alice).", "CopingStrategies(alice).\f"])
+    def test_form_feed_fails_as_in_parse_base(self, line):
+        # a scenario line is stripped of the tokenizer's blanks (space, tab,
+        # CR) only, so a form feed at either end of an [explanation] line
+        # fails at the file position of the same error in parse_base
+        with pytest.raises(ParseError) as base_err:
+            parse_base(line)
+        with pytest.raises(ParseError) as scenario_err:
+            parse_scenario(SCENARIO_OK.replace("CopingStrategies(alice).", line, 1))
+        assert base_err.value.span.line == 1
+        assert base_err.value.message == scenario_err.value.message == "unexpected character '\\x0c'"
+        assert scenario_err.value.span == SourceSpan(16, base_err.value.span.column)
+        assert scenario_err.value.span.column == (1 if line[0] == "\f" else len(line))
+
 
 class TestRender:
     def test_roundtrip_fixed_point(self, alice_base):

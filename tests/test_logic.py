@@ -29,7 +29,7 @@ from revisekit import (
     parse_literals,
 )
 from revisekit import logic
-from revisekit.logic import _Solver, _clauses, _index, _instance, _solve
+from revisekit.logic import _Solver, _clauses, _index, _instance
 from conftest import random_ground_formulas
 
 
@@ -272,7 +272,7 @@ class TestSolver:
             for assumptions in queries:
                 model = solver.solve(assumptions)
                 units = [[a] for a in assumptions]
-                fresh = _solve(clauses + units)
+                fresh = _Solver(clauses + units).solve()
                 assert (model is None) == (fresh is None), (clauses, assumptions)
                 assert (model is not None) == _satisfiable(clauses + units, spare)
                 if model is None:
@@ -374,6 +374,21 @@ class TestEntails:
     def test_rejects_non_ground(self):
         with pytest.raises(ValueError):
             entails([], Literal(Atom("P", (Term("X"),))))
+
+    @pytest.mark.parametrize("formula", [
+        Literal(Atom("P", (Term("X"),))),
+        Literal(Atom("P", (Term("X"),)), True),
+        Rule((Literal(Atom("P", (Term("X"),))),), Literal(Atom("Q", (Term("X"),)))),
+        Rule((lit("P(a)"), Literal(Atom("R", (Term("X"),)))), lit("Q(a)")),
+    ], ids=str)
+    def test_rejects_non_ground_premises(self, formula):
+        # a non-ground fact is no propositional atom, and a rule with
+        # variables has no instances without constants: both functions
+        # reject either, as they reject a non-ground explanandum
+        with pytest.raises(ValueError, match="not ground"):
+            is_consistent([lit("P(a)"), formula])
+        with pytest.raises(ValueError, match="not ground"):
+            entails([lit("P(a)"), formula], lit("Q(a)"))
 
     def test_rejects_empty_conjunction(self):
         with pytest.raises(ValueError):
@@ -551,7 +566,7 @@ class TestOracleAgreement:
             assert is_consistent(formulas) == bool(models)
             instances = [_instance(f) for f in formulas]
             clauses = _clauses(instances, _index([instances]))
-            found = _solve(clauses)
+            found = _Solver(clauses).solve()
             assert (found is None) == (not models)
             if found is not None:
                 assert not any(-l in found for l in found)
