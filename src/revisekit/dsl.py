@@ -59,6 +59,8 @@ _LEXEME = re.compile(r"(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<arrow>->)|(?P<punct>
 
 # The blanks `_LEXEME` skips, and the only ones a scenario line with content is stripped of.
 _BLANKS = " \t\r"
+# Any other whitespace, which `_LEXEME` takes as a bad character.
+_ODD_SPACE = re.compile(r"[^\S \t\r]")
 
 # (kind, text, line, column): kind is ident | bang | amp | arrow | dot | comma
 # | lparen | rparen | colon | eof.  Spans are built only for errors (`_span`).
@@ -275,16 +277,16 @@ def _split_sections(text: str) -> dict[str, list[_Line]]:
     """Each section's content lines, keyed by name; the first entry of each
     list is the position just after its header, with empty text.
 
-    Lines end at `\n` only, and a line with content is stripped of the
-    tokenizer's blanks (` \t\r`) only, so spans count lines and columns one
-    way; a line of whitespace alone is blank."""
+    Lines end at `\n` only, and a line is stripped of the tokenizer's blanks
+    (` \t\r`) only, so spans count lines and columns one way; a line of
+    those blanks alone is blank, and one holding any other whitespace is not."""
     sections: dict[str, list[_Line]] = {}
     current: str | None = None
     for lineno, rawline in enumerate(text.split("\n"), start=1):
         content = rawline.split("//", 1)[0]
-        if not content.strip():
-            continue
         line = content.strip(_BLANKS)
+        if not line:
+            continue
         column = len(content) - len(content.lstrip(_BLANKS)) + 1
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip(_BLANKS).lower()
@@ -309,13 +311,21 @@ def _positioned(lines: list[_Line]) -> str:
     return "".join(parts)
 
 
+def _reject_odd_space(lineno: int, column: int, text: str) -> None:
+    """Fail as the tokenizer does on the first whitespace character in `text`,
+    which starts at the file position (lineno, column), that is not a blank."""
+    if bad := _ODD_SPACE.search(text):
+        raise ParseError(f"unexpected character {bad.group()!r}", SourceSpan(lineno, column + bad.start()))
+
+
 def _parse_meta(lines: list[_Line]) -> dict[str, str]:
     meta = {}
     for lineno, column, line in lines:
+        _reject_odd_space(lineno, column, line)
         if "=" not in line:
             raise ParseError("expected `key = value` in [meta]", SourceSpan(lineno, column, len(line)))
         key, value = line.split("=", 1)
-        meta[key.strip()] = value.strip()
+        meta[key.strip(_BLANKS)] = value.strip(_BLANKS)
     return meta
 
 
@@ -323,7 +333,9 @@ def _parse_scenario_statement(lineno: int, column: int, line: str) -> ScenarioSt
     parts = line.split(":", 2)
     if len(parts) != 3:
         raise ParseError("expected `LABEL: kind: statement.`", SourceSpan(lineno, column, len(line)))
-    label, kind, body = (p.strip() for p in parts)
+    # the body's own whitespace is the tokenizer's to reject, in reading order
+    _reject_odd_space(lineno, column, line[:len(line) - len(parts[2])])
+    label, kind, body = (p.strip(_BLANKS) for p in parts)
     if kind not in STATEMENT_KINDS:
         raise ParseError(f"unknown statement kind {kind!r}", SourceSpan(lineno, column, len(line)),
                          expected=STATEMENT_KINDS)

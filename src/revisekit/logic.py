@@ -24,11 +24,13 @@ Two engines are kept deliberately independent:
     `revision`'s union contexts, the postulate checks, and `is_consistent`
     and `entails`, each one check keeping every formula.  Consequence sets
     come from one backbone routine (`_backbone`), which asks one solver for
-    every candidate with the candidate's complement as a further assumption:
-    `_SubsetSolver.consequences` under a kept subset's selectors, and
-    `consequences` with no other assumption on a base's own selector-free
-    solver (`_base_solver`): on the bases of the `measure` benchmark,
-    selectors made both consequence sets of a pair 10-20% slower;
+    every open candidate with the candidate's complement as a further
+    assumption, each probe branching away from the candidates still open so
+    that one model refutes many: `_SubsetSolver.consequences` under a kept
+    subset's selectors, and `consequences` with no other assumption on a
+    base's own selector-free solver (`_base_solver`): on the bases of the
+    `measure` benchmark, selectors made both consequence sets of a pair
+    10-20% slower;
   * `ground_formula` / `ground` build the ground formulas as objects, and
     `enumerate_models` evaluates them semantically over every
     interpretation of the Herbrand base.  This object-level path is the
@@ -47,13 +49,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Any, Iterable, Iterator, Mapping, Sequence, Union
+from typing import AbstractSet, Any, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import ArityMismatch, CapExceeded, EmptyUniverse, InconsistentBase
 
 DEFAULT_CAP = 24
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+# A variable argument in canonical text: terms follow `(` or `, `, and
+# nothing else does (see `Atom`).
+_ARG_VARIABLE = re.compile(r"(?:\(|, )[A-Z]")
 
 
 def is_variable_name(name: str) -> bool:
@@ -421,11 +426,9 @@ def _instances(formula: Formula, sig: Signature) -> list[Instance]:
     """The instances of `ground_formula(formula, sig)`, in its order, without
     building them: each atom compiles to a template of its text with a `{i}`
     slot for the i-th variable in sorted order, filled once per binding."""
-    if isinstance(formula, Literal):
+    if isinstance(formula, Literal) or not _ARG_VARIABLE.search(formula._text):
         return [_instance(formula)]
     variables = sorted(formula.variables())
-    if not variables:
-        return [_instance(formula)]
     if not sig.constants:
         raise EmptyUniverse(f"rule {formula} has variables but the universe is empty")
     slot = {name: f"{{{i}}}" for i, name in enumerate(variables)}
@@ -524,17 +527,21 @@ class _Solver:
             self.root = len(trail)
             self.marks = [self.root]
 
-    def solve(self, assumptions: Iterable[int] = ()) -> set[int] | None:
+    def solve(self, assumptions: Iterable[int] = (), *,
+              avoid: AbstractSet[int] = frozenset()) -> set[int] | None:
         """The literals of one assignment satisfying every clause and assumption, or None.
 
         Iterative DPLL: the trail is undone only down to the longest prefix
         these assumptions share with the ones in force, and the rest are
-        pushed and propagated one at a time.  Then the search branches and
-        backtracks chronologically, flipping the most recent unflipped
-        decision.  The closure of the root and an assumption prefix is unique,
-        and branching reads only the `true` set and the clause order, so the
-        answer and model equal a fresh solver's.  Every clause is satisfied by
-        the returned literals, so any variable they leave out can take either
+        pushed and propagated one at a time.  Then the search branches on the
+        first free literal of the first clause not yet satisfied, or, when
+        that literal is in `avoid`, on the clause's first free literal outside
+        `avoid` if it has one, and backtracks chronologically, flipping the
+        most recent unflipped decision.  The closure of the root and an
+        assumption prefix is unique, and branching reads only the `true` set,
+        the clause order and `avoid`, so the answer and model equal a fresh
+        solver's given the same `avoid`.  Every clause is satisfied by the
+        returned literals, so any variable they leave out can take either
         value.  The returned set is the solver's own state: it stays valid
         only until the next `solve` call.
         """
@@ -597,6 +604,8 @@ class _Solver:
                     scan += 1
                 if branch is None:
                     return true
+                if avoid and branch in avoid:
+                    branch = next((l for l in clauses[scan] if -l not in true and l not in avoid), branch)
                 decisions.append((len(trail), branch, scan, False))
             head = len(trail)
             true.add(branch)
@@ -635,7 +644,7 @@ def _all_of(formulas: Iterable[GroundFormula], phi: Sequence[Literal], refute_ph
     Raises ValueError on a formula or literal with a variable."""
     formulas = tuple(formulas)
     for part in (*formulas, *phi):
-        if part.variables():
+        if _ARG_VARIABLE.search(part._text):
             raise ValueError(f"not ground: {part}")
     return _SubsetSolver(formulas, Signature(), phi).satisfiable((1 << len(formulas)) - 1, refute_phi)
 
@@ -729,11 +738,16 @@ def _backbone(solver: _Solver, index: Mapping[str, int], assumptions: list[int],
     no probe.  Each remaining candidate, in canonical atom order, is probed by
     one search under its complement as a further assumption: no model means it
     is entailed, and a model drops every candidate that model does not make
-    true.  Atoms no clause in force mentions are free, so only atoms the
-    search assigns inside the Herbrand base are candidates.  Only the entailed
-    literals are built: a premise fact is entailed as stated and returned as
-    that very literal, and new atoms over the same constants share one tuple
-    of terms.  Raises InconsistentBase when there is no model.
+    true.  Each probe branches away from the candidates still open (its
+    `avoid` set), so its model leaves them unset or flipped where the clauses
+    allow, and one model refutes many at once (Janota, Lynce & Marques-Silva,
+    AI Communications 2015).  Atoms no clause in force mentions are free, so
+    only atoms the search assigns inside the Herbrand base are candidates.
+    The backbone is unique, so the steering changes only the number of
+    probes, never the answer.  Only the entailed literals are built: a
+    premise fact is entailed as stated and returned as that very literal, and
+    new atoms over the same constants share one tuple of terms.  Raises
+    InconsistentBase when there is no model.
     """
     model = solver.solve(assumptions)
     if model is None:
@@ -760,7 +774,7 @@ def _backbone(solver: _Solver, index: Mapping[str, int], assumptions: list[int],
             continue
         if lit not in fixed:
             probe[-1] = -lit
-            if (other := solver.solve(probe)) is not None:
+            if (other := solver.solve(probe, avoid=candidates)) is not None:
                 candidates &= other
                 continue
         if (fact := facts.get(text)) is not None:

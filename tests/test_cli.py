@@ -115,9 +115,10 @@ class TestCheck:
          "parse error at 15:45: expected dot, found 'Bad'\n"),
         ("dup.scn", SCENARIO + "\n[explanation]\n  Q(a). Q(a).  // twice\n",
          "parse error at 13:14: duplicate formula: Q(a)\n"),
-        # lines end at \n only: a form feed ends no line, and inside one it is no blank
+        # lines end at \n only: a form feed ends no line and is no blank, so
+        # one alone on line 4 fails there, before the bad character on line 7
         ("ff.scn", SCENARIO.replace("type = I\n\n", "type = I\n\f\n").replace(
-            "Fever(maria).", "Fever(maría)."), "parse error at 7:27: unexpected character 'í'\n"),
+            "Fever(maria).", "Fever(maría)."), "parse error at 4:1: unexpected character '\\x0c'\n"),
         ("ffline.scn", SCENARIO.replace("!HighTemperature(maria).", "!HighTemperature(maria)\f."),
          "parse error at 10:24: unexpected character '\\x0c'\n"),
         ("nofact.scn", SCENARIO.replace("!HighTemperature(maria).", "// none"),

@@ -192,6 +192,30 @@ class TestParseScenario:
         assert scenario_err.value.span.column == (1 if line[0] == "\f" else len(line))
 
 
+    @pytest.mark.parametrize("old, new, line, column", [
+        # a statement's body, label and kind
+        ("S1: conditional: W", "S1: conditional: \fW", 8, 18),
+        ("S1: conditional:", "\fS1: conditional:", 8, 1),
+        ("S1: conditional:", "S1: conditional\f:", 8, 16),
+        # a [meta] key or value
+        ("id = demo-1", "\fid = demo-1", 4, 1),
+        ("id = demo-1", "id = demo-1\f", 4, 12),
+        ("type = II", "type = \fII", 5, 8),
+        # a line of a form feed alone, in [meta] and in [fact]
+        ("type = II\n\n", "type = II\n\f\n", 6, 1),
+        ("[fact]\n", "[fact]\n\f\n", 13, 1),
+    ])
+    def test_form_feed_is_no_blank_in_any_section(self, old, new, line, column):
+        # every part of a scenario line is stripped of the tokenizer's blanks
+        # only, so a form feed fails at its file position, as in parse_base
+        with pytest.raises(ParseError) as base_err:
+            parse_base("\fWorried(X) -> DifficultConcentrate(X).")
+        with pytest.raises(ParseError) as scenario_err:
+            parse_scenario(SCENARIO_OK.replace(old, new, 1))
+        assert scenario_err.value.message == base_err.value.message == "unexpected character '\\x0c'"
+        assert scenario_err.value.span == SourceSpan(line, column)
+
+
 class TestRender:
     def test_roundtrip_fixed_point(self, alice_base):
         text = render(alice_base)

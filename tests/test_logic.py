@@ -30,12 +30,27 @@ from revisekit import (
 )
 from revisekit import logic
 from revisekit.logic import _Solver, _clauses, _index, _instance
+from revisekit.metrics import change_measure
 from conftest import random_ground_formulas
 
 
 def lit(text: str) -> Literal:
     (result,) = parse_literals(text)
     return result
+
+
+@pytest.fixture
+def solves(monkeypatch) -> list:
+    """One entry per `_Solver.solve` call, whatever its arguments."""
+    calls = []
+    solve = _Solver.solve
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Solver, "solve", counted)
+    return calls
 
 
 class TestTerms:
@@ -335,6 +350,53 @@ class TestSolver:
                 seen[kind] += 1
         assert min(seen.values()) >= 10, seen
 
+    def test_avoid_matches_brute_force(self):
+        # `avoid` only changes which literal a decision sets: every answer must
+        # equal the plain search's and brute force's, every model must satisfy
+        # the clauses and assumptions, and with `avoid` empty the model is the
+        # plain one.  A gadget [a, b], [-b, c], [-b, -c] with a avoided makes
+        # the search branch on b, hit a conflict and flip it.
+        rng = random.Random(4423)
+        seen: Counter = Counter()
+        for trial in range(300):
+            nvars = rng.randint(1, 5)
+            clauses = _random_clauses(rng, nvars)
+            a, b, c = nvars + 1, nvars + 2, nvars + 3  # at most 8 variables
+            gadget = rng.random() < 0.5
+            if gadget:
+                at = rng.choice((0, rng.randint(0, len(clauses))))
+                clauses[at:at] = [[a, b], [-b, c], [-b, -c]]
+            top = c if gadget else nvars
+            solver = _Solver(clauses)
+            pool = range(1, top + 1)
+            for _ in range(rng.randint(4, 6)):
+                assumptions = [v if rng.random() < 0.5 else -v
+                               for v in rng.sample(pool, rng.randint(0, min(3, top)))]
+                avoid = {v if rng.random() < 0.5 else -v
+                         for v in rng.sample(pool, rng.randint(0, top))}
+                if gadget:
+                    avoid.add(a)
+                    avoid.discard(b)
+                steered = solver.solve(assumptions, avoid=avoid)
+                steered = None if steered is None else set(steered)
+                assert steered == _Solver(clauses).solve(assumptions, avoid=avoid)
+                plain = _Solver(clauses).solve(assumptions)
+                assert solver.solve(assumptions, avoid=set()) == plain
+                units = [[l] for l in assumptions]
+                assert (steered is None) == (plain is None) == (not _satisfiable(clauses + units, top))
+                if steered is None:
+                    seen["unsat"] += 1
+                    continue
+                assert all(any(l in steered for l in clause) for clause in clauses)
+                assert all(l in steered for l in assumptions)
+                assert not any(-l in steered for l in steered)
+                seen["sat"] += 1
+                seen["steered elsewhere"] += steered != plain
+                if gadget and clauses[0] == [a, b] and not {a, b} & {abs(l) for l in assumptions}:
+                    assert {a, -b} <= steered  # b was tried first and flipped
+                    seen["gadget flipped"] += 1
+        assert min(seen.values()) >= 10, seen
+
     def test_consequences_builds_one_solver(self, monkeypatch, measure_base, measure_explanation):
         built = []
 
@@ -445,18 +507,10 @@ class TestConsequences:
             assert all(str(l.negate()) not in names for l in gamma)
             assert {str(st.formula) for st in base.facts} <= names
 
-    def test_backbone_probes_what_propagation_leaves_open(self, monkeypatch, measure_base,
+    def test_backbone_probes_what_propagation_leaves_open(self, solves, measure_base,
                                                           measure_explanation):
         # literals fixed by unit propagation are taken with no probe, so count
         # the solves: one model, then one probe per candidate left open
-        solves = []
-        solve = _Solver.solve
-
-        def counted(self, assumptions=()):
-            solves.append(1)
-            return solve(self, assumptions)
-
-        monkeypatch.setattr(_Solver, "solve", counted)
         # every entailed literal of the walkthrough's prior propagates from its facts
         sig = collect_signature([measure_base, measure_explanation])
         assert len(consequences(measure_base, sig)) == 4
@@ -490,6 +544,29 @@ class TestConsequences:
         solves.clear()
         assert {str(l) for l in subsets.consequences(0b110011)} == {"p", "q", "s"}
         assert len(solves) == 1
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("k", [13, 40])
+    def test_backbone_refutes_open_candidates_together(self, solves, k, r):
+        # the measure benchmark's shape over k constants: the prior and the
+        # minimal revision propagate every entailed literal; in the
+        # non-minimal one (P(X) -> Q1(X) dropped) the first model sets
+        # !A(ei) for i > 1 by decision, and one probe that branches away from
+        # those candidates leaves every one of them unset
+        conditionals = [f"P(X) -> Q{j}(X)." for j in range(1, r + 1)]
+        categoricals = [f"P(e{i})." for i in range(1, k + 1)]
+        explanation = ["A(e1).", "A(X) -> !Q1(X)."]
+        base = parse_base(" ".join(conditionals + categoricals))
+        for dropped, probes in ((categoricals[0], 0), (conditionals[0], 1)):
+            kept = [st for st in conditionals + categoricals if st != dropped]
+            revised = parse_base(" ".join(kept + explanation))
+            sig = collect_signature([base, revised])
+            for premises, calls in ((base, 1), (revised, 1 + probes)):
+                solves.clear()
+                consequences(premises, sig)
+                assert len(solves) == calls, (dropped, premises)
+        m = change_measure(base, revised)  # the non-minimal revision
+        assert (m.numerator, m.denominator) == (k + 2, (r + 1) * k + 2)
 
     def test_backbone_matches_truth_table(self):
         # bases with rules over two constants; the consequences must be
