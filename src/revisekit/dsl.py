@@ -234,6 +234,7 @@ def parse_literals(text: str) -> tuple[Literal, ...]:
 # --- scenarios ---------------------------------------------------------------
 
 VALID_TYPES = ("I", "II", "III")
+SECTIONS = ("meta", "statements", "fact", "explanation")
 STATEMENT_KINDS = ("conditional", "categorical")
 
 
@@ -274,8 +275,8 @@ _Line = tuple[int, int, str]
 
 
 def _split_sections(text: str) -> dict[str, list[_Line]]:
-    """Each section's content lines, keyed by name; the first entry of each
-    list is the position just after its header, with empty text.
+    """Each known section's content lines, keyed by name; the first entry of
+    each list is the position just after its header, with empty text.
 
     Lines end at `\n` only, and a line is stripped of the tokenizer's blanks
     (` \t\r`) only, so spans count lines and columns one way; a line of
@@ -289,7 +290,11 @@ def _split_sections(text: str) -> dict[str, list[_Line]]:
             continue
         column = len(content) - len(content.lstrip(_BLANKS)) + 1
         if line.startswith("[") and line.endswith("]"):
+            _reject_odd_space(lineno, column, line)
             current = line[1:-1].strip(_BLANKS).lower()
+            if current not in SECTIONS:
+                raise ParseError(f"unknown section [{current}]", SourceSpan(lineno, column, len(line)),
+                                 expected=SECTIONS)
             if current in sections:
                 raise ParseError(f"duplicate section [{current}]", SourceSpan(lineno, column, len(line)))
             sections[current] = [(lineno, column + len(line), "")]

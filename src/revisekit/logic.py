@@ -22,15 +22,16 @@ Two engines are kept deliberately independent:
     input size is bounded by memory, not recursion depth.  Every consistency
     or entailment check is a `_SubsetSolver` check: explanation validation,
     `revision`'s union contexts, the postulate checks, and `is_consistent`
-    and `entails`, each one check keeping every formula.  Consequence sets
-    come from one backbone routine (`_backbone`), which asks one solver for
-    every open candidate with the candidate's complement as a further
-    assumption, each probe branching away from the candidates still open so
-    that one model refutes many: `_SubsetSolver.consequences` under a kept
-    subset's selectors, and `consequences` with no other assumption on a
-    base's own selector-free solver (`_base_solver`): on the bases of the
-    `measure` benchmark, selectors made both consequence sets of a pair
-    10-20% slower;
+    and `entails`, each one check keeping every formula; over at most
+    `_TABLE_ATOMS` atoms it is an AND of truth tables, with no solver.
+    Consequence sets always come from one backbone routine (`_backbone`),
+    which asks one solver for every open candidate with the candidate's
+    complement as a further assumption, each probe branching away from the
+    candidates still open so that one model refutes many:
+    `_SubsetSolver.consequences` under a kept subset's selectors, and
+    `consequences` with no other assumption on a base's own selector-free
+    solver (`_base_solver`): on the bases of the `measure` benchmark,
+    selectors made both consequence sets of a pair 10-20% slower;
   * `ground_formula` / `ground` build the ground formulas as objects, and
     `enumerate_models` evaluates them semantically over every
     interpretation of the Herbrand base.  This object-level path is the
@@ -48,7 +49,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
+from operator import or_
 from typing import AbstractSet, Any, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import ArityMismatch, CapExceeded, EmptyUniverse, InconsistentBase
@@ -656,11 +659,41 @@ def _refutation(lits: Sequence[Literal], index: Mapping[str, int]) -> list[int]:
     return [] if any(-l in negated for l in negated) else negated
 
 
+# Over at most `_TABLE_ATOMS` atoms a set of models is a truth table, an int
+# whose bit m stands for the model making atom v true iff bit v-1 of m is set.
+# Atoms past the numbering stay free, so 64-bit tables serve every smaller one,
+# and formulas have a model together iff the AND of their tables is nonzero
+# (Darwiche & Marquis, JAIR 2002).
+_TABLE_ATOMS = 6
+_ALL = (1 << (1 << _TABLE_ATOMS)) - 1
+
+
+def _atom_table(v: int) -> int:
+    """Runs of 2**(v-1) zeros then as many ones: the first pair of runs,
+    repeated by one multiplication with its period's repunit."""
+    run = 1 << v - 1
+    return ((1 << run) - 1 << run) * (_ALL // ((1 << 2 * run) - 1))
+
+
+_LITERAL_TABLES = {lit: _atom_table(lit) if lit > 0 else _ALL ^ _atom_table(-lit)
+                   for v in range(1, _TABLE_ATOMS + 1) for lit in (v, -v)}
+
+
+def _table(clauses: Iterable[list[int]]) -> int:
+    """The truth table of a conjunction of clauses over atoms 1 to `_TABLE_ATOMS`."""
+    models = _ALL
+    for clause in clauses:
+        models &= reduce(or_, [_LITERAL_TABLES[lit] for lit in clause])
+    return models
+
+
 class _SubsetSolver:
     """Consistency, entailment and consequence checks on subsets of a list of
-    formulas, each grounded in order by `_instances` at construction: every
-    check is one solve, or for consequences one backbone, of one solver, which
-    the first check builds.
+    formulas, each grounded in order by `_instances` at construction.  The
+    first check numbers the atoms; over at most `_TABLE_ATOMS` of them every
+    check ANDs the kept formulas' truth tables.  Otherwise every check is one
+    solve, and consequences always one backbone, of one selector solver,
+    which the first call that needs it builds.
 
     Selector variables follow the atoms: each clause of formula i starts with
     !s_i, and the negated explanandum with !s_phi, so the search sees a
@@ -669,7 +702,7 @@ class _SubsetSolver:
     entailment, so it is one `_Solver.solve` that never branches on a selector
     (Een & Sorensson, SAT 2003): its answer is that of the kept formulas alone."""
 
-    __slots__ = ("formulas", "sig", "instances", "phi", "_solver", "_index", "_selectors")
+    __slots__ = ("formulas", "sig", "instances", "phi", "_solver", "_index", "_selectors", "_tables")
 
     def __init__(self, formulas: Iterable[Formula], sig: Signature, phi: Sequence[Literal]):
         self.formulas = tuple(formulas)
@@ -677,8 +710,19 @@ class _SubsetSolver:
         self.instances = [_instances(formula, sig) for formula in self.formulas]
         self.phi = phi
         self._solver: _Solver | None = None
-        self._index: dict[str, int] = {}  # the atom numbering, once the solver is built
+        self._index: dict[str, int] | None = None  # the atom numbering, once a check ran
         self._selectors = 0  # the first selector variable, once the solver is built
+        self._tables: list[int] | None = None  # per formula, then phi's refutation, if they fit
+
+    def _number(self) -> dict[str, int]:
+        """The atom numbering; the first call also compiles the tables if they fit."""
+        if self._index is None:
+            self._index = index = _index(self.instances, (l.atom._text for l in self.phi))
+            if len(index) <= _TABLE_ATOMS:
+                negated = _refutation(self.phi, index)
+                self._tables = [*(_table(_clauses(g, index)) for g in self.instances),
+                                _table([negated] if negated else [])]
+        return self._index
 
     def _assumptions(self, kept: int, refute_phi: bool) -> list[int]:
         """The assumptions selecting the kept formulas (bit i of the mask `kept`
@@ -686,7 +730,7 @@ class _SubsetSolver:
         call builds the solver."""
         n, first = len(self.instances), self._selectors
         if self._solver is None:
-            self._index = index = _index(self.instances, (l.atom._text for l in self.phi))
+            index = self._number()
             self._selectors = first = len(index) + 1
             clauses = [[-(first + i), *clause] for i, g in enumerate(self.instances)
                        for clause in _clauses(g, index)]
@@ -699,8 +743,16 @@ class _SubsetSolver:
 
     def satisfiable(self, kept: int, refute_phi: bool) -> bool:
         """Whether the kept formulas, and the negated explanandum if `refute_phi`, have a model."""
-        assumptions = self._assumptions(kept, refute_phi)
-        return self._solver.solve(assumptions) is not None
+        if self._index is None:
+            self._number()
+        if (tables := self._tables) is None:
+            assumptions = self._assumptions(kept, refute_phi)
+            return self._solver.solve(assumptions) is not None
+        models = tables[-1] if refute_phi else _ALL
+        for i, table in enumerate(tables[:-1]):
+            if kept >> i & 1:
+                models &= table
+        return models != 0
 
     def consequences(self, kept: int) -> frozenset[Literal]:
         """`consequences` of a base of the kept formulas over the signature, as

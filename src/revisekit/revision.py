@@ -9,7 +9,7 @@ choice to be minimal.
 Enumeration order is by cardinality and then lexicographic on canonical
 serialized forms, so cardinality-minimal strategies can stop at the first
 admissible set and equal inputs always yield equal streams.  Each union's
-subset checks are solves of one solver, under selector assumptions.
+subset checks are truth-table ANDs or selector solves of one `_SubsetSolver`.
 """
 
 from __future__ import annotations

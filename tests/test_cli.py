@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from revisekit import cli
 from revisekit.dsl import parse_base, parse_literals
@@ -380,3 +382,37 @@ def test_json_output_independent_of_hash_seed():
         outputs.append([run.stdout for run in runs])
     assert all(outputs[0])
     assert outputs[0] == outputs[1]
+
+
+# --- fuzzing `check` on scenario text -------------------------------------------
+
+_SHIPPED = [p.read_text(encoding="utf-8")
+            for p in sorted(Path(cli.__file__).parent.joinpath("corpus_data").glob("*.scn"))]
+# the DSL's punctuation, its whitespace and some that is not, non-ASCII
+# letters, and whole pieces of a scenario
+_PIECES = [*"!&.,():=/[]", "->", "//", *" \t\r\n\f\x85", *"éíßΩ", "a", "X", "P", "P(X)", "Q(a, b)",
+           "[meta]", "[statements]", "[fact]", "[explanation]", "[explanaton]", "id = s", "type = I",
+           "type = III", "S1: conditional: ", "S2: categorical: ", "P(X) -> !Q(X).", "P(a)."]
+
+
+@st.composite
+def _scenario_texts(draw) -> str:
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(st.sampled_from(_PIECES), max_size=40)))
+    text = draw(st.sampled_from(_SHIPPED))
+    at = draw(st.integers(0, len(text)))
+    char = draw(st.sampled_from([piece for piece in _PIECES if len(piece) == 1]))
+    edit = draw(st.sampled_from(("insert", "delete", "replace")))
+    return text[:at] + ("" if edit == "delete" else char) + text[at + (edit != "insert"):]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scenario_texts())
+def test_check_survives_any_scenario_text(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.scn"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["check", str(path)])
+    assert code in range(6)
+    assert "Traceback" not in err.getvalue()

@@ -288,7 +288,7 @@ class TestSharedContext:
             return logic.consequences(*args, **kwargs)
 
         def counted_read(self, kept):
-            assert self._solver is not None  # built by the context's subset checks
+            assert self._index is not None  # numbered by the context's subset checks
             calls["context_reads"] += 1
             return read(self, kept)
         monkeypatch.setattr(revision._UnionContext, "kernel_indices", counted_kernel_indices)

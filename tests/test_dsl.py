@@ -215,6 +215,30 @@ class TestParseScenario:
         assert scenario_err.value.message == base_err.value.message == "unexpected character '\\x0c'"
         assert scenario_err.value.span == SourceSpan(line, column)
 
+    @pytest.mark.parametrize("old, new, column, message", [
+        ("[explanation]", "[explanaton]", 1, "unknown section [explanaton]"),
+        ("[explanation]", "  []", 3, "unknown section []"),
+        ("[explanation]", "[\fexplanation]", 2, "unexpected character '\\x0c'"),
+        ("[explanation]", "[explanation\f]", 13, "unexpected character '\\x0c'"),
+    ])
+    def test_bad_section_header(self, old, new, column, message):
+        # a header naming no section, or holding whitespace other than a
+        # blank, fails at its file position rather than being skipped
+        with pytest.raises(ParseError) as err:
+            parse_scenario(SCENARIO_OK.replace(old, new, 1))
+        assert err.value.message == message
+        assert (err.value.span.line, err.value.span.column) == (15, column)
+
+    def test_meta_header_with_form_feed_fails_at_the_header(self):
+        with pytest.raises(ParseError) as err:
+            parse_scenario(SCENARIO_OK.replace("[meta]", "[\fmeta]", 1))
+        assert err.value.message == "unexpected character '\\x0c'"
+        assert err.value.span == SourceSpan(3, 2)
+
+    def test_header_names_ignore_case_and_blanks(self):
+        text = SCENARIO_OK.replace("[explanation]", " [ Explanation ]\t", 1).replace("[fact]", "[FACT]", 1)
+        assert parse_scenario(text) == parse_scenario(SCENARIO_OK)
+
 
 class TestRender:
     def test_roundtrip_fixed_point(self, alice_base):

@@ -29,7 +29,7 @@ from revisekit import (
     parse_literals,
 )
 from revisekit import logic
-from revisekit.logic import _Solver, _clauses, _index, _instance
+from revisekit.logic import _Solver, _clauses, _index, _instance, ground_formula
 from revisekit.metrics import change_measure
 from conftest import random_ground_formulas
 
@@ -662,6 +662,87 @@ class TestOracleAgreement:
                 continue
             extra = random_ground_formulas(rng, 4, 2)[1]
             assert entails(formulas + extra, query)
+
+
+class TestTruthTables:
+    """Subset checks over at most `_TABLE_ATOMS` atoms AND truth tables, and
+    above that are selector solves; both must answer every check as the
+    models of the Herbrand base do."""
+
+    # 0-ary atoms p0..p6, and R(c, c) through a rule whose one instance over
+    # the constant c is tautological
+    POOL = [Atom(f"p{i}") for i in range(7)]
+    (SYMMETRIC,) = parse_base("R(X, Y) -> R(Y, X).").formulas
+
+    @classmethod
+    def _cases(cls, seed: int, trials: int):
+        """Unions of up to nine distinct formulas and explananda of up to two
+        literals, after three fixed ones: a chain over exactly six atoms, seven
+        facts over seven, and the empty union."""
+        yield ([Rule((Literal(a),), Literal(b)) for a, b in zip(cls.POOL[:5], cls.POOL[1:6])]
+               + [Literal(cls.POOL[0]), Literal(cls.POOL[5], True)]), ()
+        yield [Literal(a, i % 2 == 1) for i, a in enumerate(cls.POOL)], (Literal(cls.POOL[6]),)
+        yield [], (lit("s"),)
+        rng = random.Random(seed)
+        for _ in range(trials):
+            atoms = cls.POOL[:rng.choice((3, 5, 6, 6, 7))]
+            formulas = {}
+            for _ in range(rng.randint(0, 9)):
+                if rng.random() < 0.1:
+                    formula = cls.SYMMETRIC
+                elif rng.random() < 0.5:
+                    formula = Literal(rng.choice(atoms), rng.random() < 0.4)
+                else:
+                    body = tuple(Literal(rng.choice(atoms), rng.random() < 0.3)
+                                 for _ in range(rng.randint(1, 2)))
+                    formula = Rule(body, Literal(rng.choice(atoms), rng.random() < 0.4))
+                formulas.setdefault(str(formula), formula)
+            # s is an explanandum atom that no formula mentions
+            phi_atoms = rng.sample([*cls.POOL, Atom("s")], rng.randint(0, 2))
+            phi = tuple(Literal(a, rng.random() < 0.5) for a in phi_atoms)
+            if rng.random() < 0.15:
+                phi = (Literal(phi_atoms[0]), Literal(phi_atoms[0], True)) if phi_atoms else phi
+            yield list(formulas.values()), phi
+
+    def test_tables_and_solver_match_models_on_every_subset(self):
+        widths, seen = Counter(), set()
+        for formulas, phi in self._cases(23, 150):
+            sig = collect_signature([formulas, phi, Signature(("c",))])
+            grounds = [ground_formula(f, sig) for f in formulas]
+            # each model: the formulas it satisfies, and whether it falsifies phi
+            profiles = set()
+            for m in enumerate_models((), sig):
+                values = m.as_dict()
+                held = sum(1 << i for i, g in enumerate(grounds)
+                           if all(logic._evaluate(gf, values) for gf in g))
+                profiles.add((held, not all(logic._evaluate(l, values) for l in phi)))
+            queries = [(kept, refute) for kept in range(1 << len(formulas)) for refute in (False, True)]
+            # an empty explanandum is refuted by every model, as `_refutation` has it
+            expected = [any(kept & held == kept and (refuted or not phi or not refute)
+                            for held, refuted in profiles)
+                        for kept, refute in queries]
+            checks = logic._SubsetSolver(formulas, sig, phi)
+            assert [checks.satisfiable(kept, refute) for kept, refute in queries] == expected
+            width = len(checks._index)
+            widths[min(width, 8)] += 1
+            assert (checks._tables is not None) == (checks._solver is None) == (width <= 6)
+            solved = []
+            for kept, refute in queries:
+                assumptions = checks._assumptions(kept, refute)  # builds the solver
+                solved.append(checks._solver.solve(assumptions) is not None)
+            assert solved == expected
+            # the same checks through the public entry points, on the ground formulas
+            flat = [gf for g in grounds for gf in g]
+            consistent = any(held == (1 << len(formulas)) - 1 for held, _ in profiles)
+            assert is_consistent(flat) == consistent
+            if len(phi) == 2 and phi[0] == phi[1].negate():
+                assert entails(flat, phi) == (not consistent)
+                seen.add("complement")
+            features = {"empty": not formulas, "tautology": self.SYMMETRIC in formulas,
+                        "unmentioned": Atom("s") in {l.atom for l in phi}}
+            seen.update(name for name, hit in features.items() if hit)
+        assert widths[6] >= 20 and widths[7] >= 20, widths
+        assert seen == {"complement", "empty", "tautology", "unmentioned"}
 
 
 class TestGroundingSoundness:
