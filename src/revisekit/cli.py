@@ -125,16 +125,25 @@ def _cap(args: argparse.Namespace) -> int:
     return cap
 
 
+def _read(path: Path) -> str:
+    """The file's text with its line ends as written: the DSL ends lines at
+    `\n` only and reads `\r` as a blank, so no newline is translated."""
+    with open(path, encoding="utf-8", newline="") as f:
+        return f.read()
+
+
 def _looks_like_scenario(text: str) -> bool:
-    for line in text.splitlines():
-        stripped = line.split("//", 1)[0].strip()
+    """Whether the first line with content opens a section, lines split and
+    stripped as the DSL splits and strips them."""
+    for line in text.split("\n"):
+        stripped = line.split("//", 1)[0].strip(dsl._BLANKS)
         if stripped:
             return stripped.startswith("[")
     return False
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    text = args.path.read_text(encoding="utf-8")
+    text = _read(args.path)
     if _looks_like_scenario(text):
         scenario = dsl.parse_scenario(text)
         if args.format == "json":
@@ -184,8 +193,8 @@ def _guided_strategy(args: argparse.Namespace) -> SelectionStrategy:
 
 def cmd_revise(args: argparse.Namespace) -> int:
     cap = _cap(args)
-    base = dsl.parse_base(args.base.read_text(encoding="utf-8"))
-    explanation = dsl.parse_base(args.explanation.read_text(encoding="utf-8"))
+    base = dsl.parse_base(_read(args.base))
+    explanation = dsl.parse_base(_read(args.explanation))
     phi = Explanandum(dsl.parse_literals(args.explanandum))
 
     if args.operator == "falappa":
@@ -214,8 +223,8 @@ def cmd_revise(args: argparse.Namespace) -> int:
 
 def cmd_kernels(args: argparse.Namespace) -> int:
     cap = _cap(args)
-    base = dsl.parse_base(args.base.read_text(encoding="utf-8"))
-    explanation = dsl.parse_base(args.explanation.read_text(encoding="utf-8"))
+    base = dsl.parse_base(_read(args.base))
+    explanation = dsl.parse_base(_read(args.explanation))
     if args.muses:
         sets = [sorted(el.canonical() for el in kernel)
                 for kernel in falappa.kernel_set(base, explanation, cap)]

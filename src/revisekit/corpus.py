@@ -24,8 +24,8 @@ from typing import Any
 
 from .dsl import Scenario, parse_scenario
 from .errors import NoCandidates
-from .logic import DEFAULT_CAP, BeliefBase, Literal, Signature, collect_signature, consequences
-from .metrics import _measure, classify_revision, statement_changes
+from .logic import DEFAULT_CAP, BeliefBase, Literal, Signature, collect_signature
+from .metrics import _consequences, _measure, classify_revision, statement_changes
 from .revision import (
     Explanandum,
     RevisionResult,
@@ -105,23 +105,13 @@ def pattern_revision(entry: CorpusEntry, pattern: str,
     return _pattern_revision(_validated_context(*scenario_inputs(entry), cap), entry, pattern)
 
 
-def _consequences(ctx: _UnionContext, base: BeliefBase, sig: Signature) -> frozenset[Literal]:
-    """`consequences(base, sig)`, read off the context's solver when `sig` is
-    the context's signature and every formula of `base` is a union element."""
-    forms = base.canonical_forms()
-    kept = sum(1 << i for i, el in enumerate(ctx.elements) if el.canonical() in forms)
-    if sig != ctx.sig or kept.bit_count() != len(base):
-        return consequences(base, sig)
-    return ctx.subsets.consequences(kept)
-
-
 def _row(entry: CorpusEntry, run: str, result: RevisionResult, base: BeliefBase,
          ctx: _UnionContext, priors: dict[Signature, frozenset[Literal]]) -> dict[str, Any]:
     """One report row; `priors` holds the base's consequence sets by signature."""
     classification = classify_revision(entry.scenario, result)
     sig = collect_signature([base, result.revised])
     if (before := priors.get(sig)) is None:
-        before = priors[sig] = _consequences(ctx, base, sig)
+        before = priors[sig] = _consequences(ctx.subsets, base, sig)
     return {
         "id": entry.scenario.id,
         "type": entry.scenario.problem_type,
@@ -129,7 +119,7 @@ def _row(entry: CorpusEntry, run: str, result: RevisionResult, base: BeliefBase,
         "retracted": sorted(result.retracted.canonical_forms()),
         "classification": classification.label,
         "statement_changes": statement_changes(base, result),
-        "change_measure": _measure(before, _consequences(ctx, result.revised, sig)),
+        "change_measure": _measure(before, _consequences(ctx.subsets, result.revised, sig)),
         "entails_explanandum": bool(result.entails_explanandum),
     }
 

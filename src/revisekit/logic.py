@@ -8,30 +8,27 @@ classically on the resulting ground formulas.
 
 Two engines are kept deliberately independent:
 
-  * `_SubsetSolver` and `consequences` decide integer clauses with a
-    `_Solver`.  They never build the ground formulas: each formula is
-    compiled once per call into literal templates (an atom's text with a
-    slot per variable, and the literal's sign in the clause), whose
-    instances over the constants are tuples of (atom text, sign) pairs
-    (`_instances`).  `_index` numbers the atom texts in sorted order and
-    `_clauses` turns the instances into sorted integer clauses, skipping
-    tautological ones.  The solver builds the occurrence lists once per
-    clause set and propagates the unit clauses once, at the root; each query
-    is then a complete iterative search under a list of assumption literals
-    (unit propagation, an explicit trail and chronological backtracking), so
-    input size is bounded by memory, not recursion depth.  Every consistency
-    or entailment check is a `_SubsetSolver` check: explanation validation,
-    `revision`'s union contexts, the postulate checks, and `is_consistent`
-    and `entails`, each one check keeping every formula; over at most
-    `_TABLE_ATOMS` atoms it is an AND of truth tables, with no solver.
-    Consequence sets always come from one backbone routine (`_backbone`),
-    which asks one solver for every open candidate with the candidate's
-    complement as a further assumption, each probe branching away from the
-    candidates still open so that one model refutes many:
-    `_SubsetSolver.consequences` under a kept subset's selectors, and
-    `consequences` with no other assumption on a base's own selector-free
-    solver (`_base_solver`): on the bases of the `measure` benchmark,
-    selectors made both consequence sets of a pair 10-20% slower;
+  * `_SubsetSolver` decides integer clauses with a `_Solver`.  It never
+    builds the ground formulas: each formula is compiled once per call into
+    literal templates (an atom's text with a slot per variable, and the
+    literal's sign in the clause), whose instances over the constants are
+    tuples of (atom text, sign) pairs (`_instances`).  `_index` numbers the
+    atom texts in sorted order and `_clauses` turns the instances into sorted
+    integer clauses, skipping tautological ones.  The solver builds the
+    occurrence lists once per clause set and propagates the unit clauses
+    once, at the root; each query is then a complete iterative search under a
+    list of assumption literals (unit propagation, an explicit trail and
+    chronological backtracking), so input size is bounded by memory, not
+    recursion depth.  Every consistency or entailment check and every
+    consequence set is a `_SubsetSolver` query: explanation validation,
+    `revision`'s union contexts, the postulate checks, the change measure,
+    and `is_consistent`, `entails` and `consequences`, each of these three
+    one query keeping every formula.  A check over at most `_TABLE_ATOMS`
+    atoms is an AND of truth tables, with no solver.  A consequence set is a
+    backbone (`_SubsetSolver.consequences`), which asks the solver for every
+    open candidate with the candidate's complement as a further assumption,
+    each probe branching away from the candidates still open so that one
+    model refutes many;
   * `ground_formula` / `ground` build the ground formulas as objects, and
     `enumerate_models` evaluates them semantically over every
     interpretation of the Herbrand base.  This object-level path is the
@@ -615,14 +612,6 @@ class _Solver:
             trail.append(branch)
 
 
-def _base_solver(base: BeliefBase, sig: Signature) -> tuple[_Solver, dict[str, int]]:
-    """One solver over the base's ground instances, duplicates kept once at
-    their first occurrence as `ground` keeps them, and its atom numbering."""
-    instances = dict.fromkeys(inst for st in base.statements for inst in _instances(st.formula, sig))
-    index = _index([instances])
-    return _Solver(_clauses(instances, index)), index
-
-
 def is_consistent(formulas: Iterable[GroundFormula]) -> bool:
     """True iff at least one interpretation satisfies every ground formula."""
     return _all_of(formulas, (), False)
@@ -689,65 +678,69 @@ def _table(clauses: Iterable[list[int]]) -> int:
 
 class _SubsetSolver:
     """Consistency, entailment and consequence checks on subsets of a list of
-    formulas, each grounded in order by `_instances` at construction.  The
-    first check numbers the atoms; over at most `_TABLE_ATOMS` of them every
-    check ANDs the kept formulas' truth tables.  Otherwise every check is one
-    solve, and consequences always one backbone, of one selector solver,
+    formulas, each grounded in order by `_instances` and its atoms numbered at
+    construction.  Over at most `_TABLE_ATOMS` atoms every check ANDs the kept
+    formulas' truth tables, which the first check compiles.  Otherwise every
+    check is one solve, and consequences one backbone, of one selector solver,
     which the first call that needs it builds.
 
-    Selector variables follow the atoms: each clause of formula i starts with
-    !s_i, and the negated explanandum with !s_phi, so the search sees a
-    dropped formula's clause satisfied at its first literal.  A check assumes
-    s_i for each kept formula, !s_i for each dropped one and s_phi only for
-    entailment, so it is one `_Solver.solve` that never branches on a selector
-    (Een & Sorensson, SAT 2003): its answer is that of the kept formulas alone."""
+    A formula whose clauses are one unit clause, as every fact's are, is kept
+    by assuming its literal and dropped by assuming nothing.  Every other
+    formula i has a selector variable s_i, numbered after the atoms: each of
+    its clauses starts with !s_i, and the negated explanandum's with !s_phi,
+    so the search sees a dropped formula's clause satisfied at its first
+    literal.  A check assumes, in formula order, the literal or s_i of each
+    kept formula and !s_i of each dropped one with a selector, then s_phi only
+    for entailment, so it is one `_Solver.solve` that never branches on a
+    selector (Een & Sorensson, SAT 2003): its answer is that of the kept
+    formulas alone."""
 
-    __slots__ = ("formulas", "sig", "instances", "phi", "_solver", "_index", "_selectors", "_tables")
+    __slots__ = ("formulas", "sig", "instances", "phi", "_index", "_solver", "_keys", "_tables")
 
     def __init__(self, formulas: Iterable[Formula], sig: Signature, phi: Sequence[Literal]):
         self.formulas = tuple(formulas)
         self.sig = sig
         self.instances = [_instances(formula, sig) for formula in self.formulas]
         self.phi = phi
+        self._index = _index(self.instances, (l.atom._text for l in phi))
         self._solver: _Solver | None = None
-        self._index: dict[str, int] | None = None  # the atom numbering, once a check ran
-        self._selectors = 0  # the first selector variable, once the solver is built
-        self._tables: list[int] | None = None  # per formula, then phi's refutation, if they fit
-
-    def _number(self) -> dict[str, int]:
-        """The atom numbering; the first call also compiles the tables if they fit."""
-        if self._index is None:
-            self._index = index = _index(self.instances, (l.atom._text for l in self.phi))
-            if len(index) <= _TABLE_ATOMS:
-                negated = _refutation(self.phi, index)
-                self._tables = [*(_table(_clauses(g, index)) for g in self.instances),
-                                _table([negated] if negated else [])]
-        return self._index
+        # per formula, the literal assumed to keep it (its unit clause's, or
+        # s_i), once the solver is built; selectors are the keys past the atoms
+        self._keys: list[int] = []
+        self._tables: list[int] | None = None  # per formula, then phi's refutation, once compiled
 
     def _assumptions(self, kept: int, refute_phi: bool) -> list[int]:
         """The assumptions selecting the kept formulas (bit i of the mask `kept`
         for formula i), and the negated explanandum if `refute_phi`; the first
         call builds the solver."""
-        n, first = len(self.instances), self._selectors
+        index, first = self._index, len(self._index) + 1
+        s_phi = first + len(self.instances)
         if self._solver is None:
-            index = self._number()
-            self._selectors = first = len(index) + 1
-            clauses = [[-(first + i), *clause] for i, g in enumerate(self.instances)
-                       for clause in _clauses(g, index)]
+            clauses = []
+            for i, g in enumerate(self.instances):
+                own = _clauses(g, index)
+                if len(own) == 1 and len(own[0]) == 1:
+                    self._keys.append(own[0][0])
+                else:
+                    self._keys.append(first + i)
+                    clauses += [[-(first + i), *clause] for clause in own]
             if negated := _refutation(self.phi, index):
-                clauses.append([-(first + n), *negated])
+                clauses.append([-s_phi, *negated])
             self._solver = _Solver(clauses)
-        assumptions = [first + i if kept >> i & 1 else -(first + i) for i in range(n)]
-        assumptions.append(first + n if refute_phi else -(first + n))
+        assumptions = [key if kept >> i & 1 else -key
+                       for i, key in enumerate(self._keys) if kept >> i & 1 or key >= first]
+        assumptions.append(s_phi if refute_phi else -s_phi)
         return assumptions
 
     def satisfiable(self, kept: int, refute_phi: bool) -> bool:
         """Whether the kept formulas, and the negated explanandum if `refute_phi`, have a model."""
-        if self._index is None:
-            self._number()
-        if (tables := self._tables) is None:
+        if len(self._index) > _TABLE_ATOMS:
             assumptions = self._assumptions(kept, refute_phi)
             return self._solver.solve(assumptions) is not None
+        if (tables := self._tables) is None:
+            negated = _refutation(self.phi, self._index)
+            tables = self._tables = [*(_table(_clauses(g, self._index)) for g in self.instances),
+                                     _table([negated] if negated else [])]
         models = tables[-1] if refute_phi else _ALL
         for i, table in enumerate(tables[:-1]):
             if kept >> i & 1:
@@ -755,11 +748,65 @@ class _SubsetSolver:
         return models != 0
 
     def consequences(self, kept: int) -> frozenset[Literal]:
-        """`consequences` of a base of the kept formulas over the signature, as
-        the backbone of this solver under their selectors with s_phi off."""
+        """The ground literals over the signature's Herbrand base that the
+        kept formulas entail: the backbone of the solver under their
+        assumptions, with s_phi off.
+
+        One model is found first; only the literals it makes true can be
+        entailed.  Those on its trail below the first decision follow by unit
+        propagation from the assumptions, so they are entailed with no probe.
+        Each remaining candidate, in canonical atom order, is probed by one
+        search under its complement as a further assumption: no model means it
+        is entailed, and a model drops every candidate that model does not make
+        true.  Each probe branches away from the candidates still open (its
+        `avoid` set), so its model leaves them unset or flipped where the
+        clauses allow, and one model refutes many at once (Janota, Lynce &
+        Marques-Silva, AI Communications 2015).  Atoms no clause in force
+        mentions are free, so only atoms the search assigns inside the Herbrand
+        base are candidates.  The backbone is unique, so the steering changes
+        only the number of probes, never the answer.  Only the entailed
+        literals are built: a kept fact is entailed as stated and returned as
+        that very literal, and new atoms over the same constants share one
+        tuple of terms.  Raises InconsistentBase when there is no model.
+        """
         assumptions = self._assumptions(kept, False)
-        premises = [f for i, f in enumerate(self.formulas) if kept >> i & 1]
-        return _backbone(self._solver, self._index, assumptions, premises, self.sig)
+        solver = self._solver
+        model = solver.solve(assumptions)
+        if model is None:
+            raise InconsistentBase("consequences undefined: base has no model")
+        candidates = set(model)
+        fixed = set(solver.trail[:solver.marks[-1]])
+        probe = [*assumptions, 0]  # the assumptions, then the candidate's complement
+        predicates = set(self.sig.predicates)
+        constants = set(self.sig.constants)
+        out = []
+        # the literals built here outlive the call (the change measure holds two
+        # sets at once), so each one saved is one fewer for the cyclic GC to track
+        facts = {f.atom._text: f for i, f in enumerate(self.formulas)
+                 if kept >> i & 1 and isinstance(f, Literal)}
+        terms_of = {text.partition("(")[2]: fact.atom.args for text, fact in facts.items()}
+        for text, v in self._index.items():  # canonical order: the index is sorted by text
+            predicate, _, rest = text.partition("(")  # the text of Atom(predicate, args)
+            args = rest[:-1].split(", ") if rest else []
+            if (predicate, len(args)) not in predicates:
+                continue
+            if not all(a in constants for a in args):
+                continue
+            lit = v if v in candidates else -v
+            if lit not in candidates:
+                continue
+            if lit not in fixed:
+                probe[-1] = -lit
+                if (other := solver.solve(probe, avoid=candidates)) is not None:
+                    candidates &= other
+                    continue
+            if (fact := facts.get(text)) is not None:
+                out.append(fact)
+                continue
+            if (terms := terms_of.get(rest)) is None:
+                terms = terms_of[rest] = tuple(Term(a) for a in args)
+            out.append(Literal(Atom(predicate, terms), lit < 0))
+        return frozenset(out)
 
     def mentioning(self, atom: Atom) -> int:
         """The mask of the formulas with an instance that mentions the atom."""
@@ -770,72 +817,11 @@ class _SubsetSolver:
 def consequences(base: BeliefBase, sig: Signature) -> frozenset[Literal]:
     """Every ground literal over the signature's Herbrand base that the base entails.
 
-    Computed by `_backbone` on one `_Solver` of the base's instances.
-    Undefined (raises InconsistentBase) when the ground base has no model; a
-    consistent base never yields both a literal and its negation.
+    One `_SubsetSolver.consequences` query keeping every formula.  Undefined
+    (raises InconsistentBase) when the ground base has no model; a consistent
+    base never yields both a literal and its negation.
     """
-    solver, index = _base_solver(base, sig)
-    return _backbone(solver, index, [], base.formulas, sig)
-
-
-def _backbone(solver: _Solver, index: Mapping[str, int], assumptions: list[int],
-              formulas: Iterable[Formula], sig: Signature) -> frozenset[Literal]:
-    """The ground literals over the signature's Herbrand base that every model
-    of the solver's clauses under the assumptions makes true; `index` numbers
-    the atom texts in sorted order and `formulas` are the premises.
-
-    One model is found first; only the literals it makes true can be
-    entailed.  Those on its trail below the first decision follow by unit
-    propagation from the root and the assumptions, so they are entailed with
-    no probe.  Each remaining candidate, in canonical atom order, is probed by
-    one search under its complement as a further assumption: no model means it
-    is entailed, and a model drops every candidate that model does not make
-    true.  Each probe branches away from the candidates still open (its
-    `avoid` set), so its model leaves them unset or flipped where the clauses
-    allow, and one model refutes many at once (Janota, Lynce & Marques-Silva,
-    AI Communications 2015).  Atoms no clause in force mentions are free, so
-    only atoms the search assigns inside the Herbrand base are candidates.
-    The backbone is unique, so the steering changes only the number of
-    probes, never the answer.  Only the entailed literals are built: a
-    premise fact is entailed as stated and returned as that very literal, and
-    new atoms over the same constants share one tuple of terms.  Raises
-    InconsistentBase when there is no model.
-    """
-    model = solver.solve(assumptions)
-    if model is None:
-        raise InconsistentBase("consequences undefined: base has no model")
-    candidates = set(model)
-    fixed = set(solver.trail[:solver.marks[-1]])
-    probe = [*assumptions, 0]  # the assumptions, then the candidate's complement
-    predicates = set(sig.predicates)
-    constants = set(sig.constants)
-    out = []
-    # the literals built here outlive the call (the change measure holds two
-    # sets at once), so each one saved is one fewer for the cyclic GC to track
-    facts = {f.atom._text: f for f in formulas if isinstance(f, Literal)}
-    terms_of = {text.partition("(")[2]: fact.atom.args for text, fact in facts.items()}
-    for text, v in index.items():  # canonical order: the index is sorted by text
-        predicate, _, rest = text.partition("(")  # the text of Atom(predicate, args)
-        args = rest[:-1].split(", ") if rest else []
-        if (predicate, len(args)) not in predicates:
-            continue
-        if not all(a in constants for a in args):
-            continue
-        lit = v if v in candidates else -v
-        if lit not in candidates:
-            continue
-        if lit not in fixed:
-            probe[-1] = -lit
-            if (other := solver.solve(probe, avoid=candidates)) is not None:
-                candidates &= other
-                continue
-        if (fact := facts.get(text)) is not None:
-            out.append(fact)
-            continue
-        if (terms := terms_of.get(rest)) is None:
-            terms = terms_of[rest] = tuple(Term(a) for a in args)
-        out.append(Literal(Atom(predicate, terms), lit < 0))
-    return frozenset(out)
+    return _SubsetSolver(base.formulas, sig, ()).consequences((1 << len(base)) - 1)
 
 
 # --- independent truth-table oracle ----------------------------------------

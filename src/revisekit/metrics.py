@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import UnknownLabel
-from .logic import BeliefBase, Literal, collect_signature, consequences
+from .logic import BeliefBase, Literal, Signature, _SubsetSolver, collect_signature, consequences
 
 if TYPE_CHECKING:
     from .dsl import Scenario
@@ -42,11 +42,23 @@ def change_measure(base: BeliefBase, revised: BeliefBase) -> ChangeMeasure:
     """Normalized symmetric difference of the two consequence sets.
 
     Both sets are computed over the combined signature so the Herbrand base is
-    shared; two bases with no consequences at all count as zero change.
-    Raises InconsistentBase when either base has no model.
+    shared, and read off one solver of the two bases' distinct formulas; two
+    bases with no consequences at all count as zero change.  Raises
+    InconsistentBase when either base has no model.
     """
     sig = collect_signature([base, revised])
-    return _measure(consequences(base, sig), consequences(revised, sig))
+    checks = _SubsetSolver(dict.fromkeys((*base.formulas, *revised.formulas)), sig, ())
+    return _measure(_consequences(checks, base, sig), _consequences(checks, revised, sig))
+
+
+def _consequences(checks: _SubsetSolver, base: BeliefBase, sig: Signature) -> frozenset[Literal]:
+    """`consequences(base, sig)`, read off `checks` when they are over `sig`
+    and hold every formula of `base`, and off a solver of its own otherwise."""
+    forms = base.canonical_forms()
+    kept = sum(1 << i for i, f in enumerate(checks.formulas) if f._text in forms)
+    if sig != checks.sig or kept.bit_count() != len(base):
+        return consequences(base, sig)
+    return checks.consequences(kept)
 
 
 def _measure(before: frozenset[Literal], after: frozenset[Literal]) -> ChangeMeasure:

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revisekit import cli
+from revisekit import cli, dsl
+from revisekit.errors import ParseError
 from revisekit.dsl import parse_base, parse_literals
 from revisekit.revision import WEIGHTED, Explanandum, SelectionStrategy, revise
 
@@ -131,6 +132,31 @@ class TestCheck:
         path.write_text(text, encoding="utf-8")
         assert cli.main(["check", str(path)]) == 2
         assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("command", ["check", "revise", "kernels"])
+    def test_files_keep_a_lone_carriage_return(self, tmp_path, expl_file, capsys, command):
+        # lines end at \n only, and \r is a blank: every command reads a file
+        # as written, so a position is the one `parse_base` reports on its text
+        text = "p(a).\rq(b"
+        with pytest.raises(ParseError) as raised:
+            parse_base(text)
+        assert str(raised.value.span) == "1:10"
+        path = tmp_path / "cr.rk"
+        path.write_bytes(text.encode())
+        argv = {"check": [str(path)], "revise": [str(path), str(expl_file), "!Ins(charlie)"],
+                "kernels": [str(path), str(expl_file)]}[command]
+        assert cli.main([command, *argv]) == 2
+        assert capsys.readouterr().err == "parse error at 1:10: expected rparen, found 'end of input'\n"
+
+    def test_scenario_below_a_comment_holding_a_form_feed(self, tmp_path, capsys):
+        # a form feed ends no line, so the comment hides the rest of line 1
+        # and the scenario opens on line 2, as `parse_scenario` reads it
+        text = "// note\fmore\n" + SCENARIO
+        assert dsl.parse_scenario(text).id == "cli-demo"
+        path = tmp_path / "s.scn"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["check", str(path)]) == 0
+        assert capsys.readouterr().out == "ok: scenario cli-demo (type I)\n"
 
     def test_invariant_violation_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.scn"
@@ -416,3 +442,60 @@ def test_check_survives_any_scenario_text(tmp_path_factory, text):
         code = cli.main(["check", str(path)])
     assert code in range(6)
     assert "Traceback" not in err.getvalue()
+
+
+# --- fuzzing `revise` and `kernels` -------------------------------------------
+
+# statements over two constants, and some that fail: an arity clash with
+# P/1, a missing dot, a non-ASCII constant, a repeated statement
+_STATEMENTS = ["P(a).", "!P(a).", "P(b).", "Q(a).", "!Q(b).", "R.", "!R.", "S(a, b).",
+               "P(X) -> Q(X).", "Q(X) -> !P(X).", "P(X) & S(X, Y) -> Q(Y).", "!R -> R.",
+               "P(X) -> R.", "S(X, Y) -> S(Y, X)."]
+_BAD_STATEMENTS = ["P(a, b).", "P(X) -> Q(X)", "Q(é).", "P(a). P(a)."]
+_EXPLANANDA = ["P(a)", "!Q(a)", "Q(b) & !R", "R & !R", "!P(b) & S(a, b)", "T(c)", "P(X)", "",
+               "Q(a) &"]
+_WEIGHTS = ['{"P(a)": 2, "P(X) -> Q(X)": -1}', '{"Q(X) -> !P(X)": 0.5}', "{}", "[1]",
+            '{"P(a)": "x"}', "nope", '{"R": NaN}']
+
+
+@st.composite
+def _revision_runs(draw) -> tuple[str, str, list[str]]:
+    """A base text and an explanation text of at most 8 statements in all,
+    and the arguments after the two file paths."""
+    statements = draw(st.lists(st.sampled_from(_STATEMENTS), max_size=8, unique=True))
+    if statements and draw(st.integers(0, 4)) == 0:
+        statements[-1] = draw(st.sampled_from(_BAD_STATEMENTS))
+    split = draw(st.integers(0, len(statements)))
+    if draw(st.booleans()):
+        args = ["kernels"] + (["--muses"] if draw(st.booleans()) else [])
+    else:
+        args = ["revise", draw(st.sampled_from(_EXPLANANDA)),
+                "--operator=" + draw(st.sampled_from(("guided", "falappa")))]
+        if draw(st.booleans()):
+            args.append("--strategy=" + draw(st.sampled_from(
+                [*cli.GUIDED_STRATEGIES, *cli.FALAPPA_STRATEGIES, "interactive"])))
+        if draw(st.booleans()):
+            args.append("--weights=" + draw(st.sampled_from(_WEIGHTS)))
+        if draw(st.booleans()):
+            args.append(f"--seed={draw(st.integers(0, 3))}")
+    if draw(st.booleans()):
+        args.append(f"--max-ground={draw(st.sampled_from((-1, 0, 4, 24, 200)))}")
+    args.append("--format=" + draw(st.sampled_from(("text", "json"))))
+    return " ".join(statements[:split]), " ".join(statements[split:]), args
+
+
+@settings(max_examples=120, deadline=None)
+@given(_revision_runs())
+def test_revise_and_kernels_survive_any_input(tmp_path_factory, run):
+    base_text, explanation_text, (command, *rest) = run
+    paths = []
+    for name, text in (("fuzz_base.rk", base_text), ("fuzz_expl.rk", explanation_text)):
+        paths.append(path := tmp_path_factory.getbasetemp() / name)
+        path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, *map(str, paths), *rest])
+    assert code in range(6)
+    assert "Traceback" not in err.getvalue()
+    if code == 0 and "--format=json" in rest:
+        json.loads(out.getvalue())

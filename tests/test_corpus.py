@@ -288,13 +288,11 @@ class TestSharedContext:
             return logic.consequences(*args, **kwargs)
 
         def counted_read(self, kept):
-            assert self._index is not None  # numbered by the context's subset checks
             calls["context_reads"] += 1
             return read(self, kept)
         monkeypatch.setattr(revision._UnionContext, "kernel_indices", counted_kernel_indices)
         monkeypatch.setattr(logic._SubsetSolver, "consequences", counted_read)
-        for module in (corpus, metrics):
-            monkeypatch.setattr(module, "consequences", counted_consequences)
+        monkeypatch.setattr(metrics, "consequences", counted_consequences)
         rows = []
         row = corpus._row
 
@@ -343,9 +341,10 @@ class TestSharedContext:
             return logic.consequences(*args, **kwargs)
 
         def counted_read(self, kept):
-            calls["context_reads"] += 1
+            if self is wider.subsets or self is ctx.subsets:  # not a fallback's own solver
+                calls["context_reads"] += 1
             return read(self, kept)
-        monkeypatch.setattr(corpus, "consequences", counted_consequences)
+        monkeypatch.setattr(metrics, "consequences", counted_consequences)
         monkeypatch.setattr(logic._SubsetSolver, "consequences", counted_read)
         out = corpus._row(entry, "pattern:non-minimal", result, base, wider, {})
         assert calls == {"consequences": 2}
@@ -353,7 +352,7 @@ class TestSharedContext:
         # a base over the context's signature but not of its elements falls back too
         calls.clear()
         other = BeliefBase.from_formulas([lit.negate() for lit in entry.scenario.fact])
-        assert corpus._consequences(ctx, other, ctx.sig) == logic.consequences(other, ctx.sig)
+        assert metrics._consequences(ctx.subsets, other, ctx.sig) == logic.consequences(other, ctx.sig)
         assert calls == {"consequences": 1}
 
     # md5 prefixes of the CLI output before the runs of an entry shared one

@@ -30,7 +30,7 @@ from revisekit import (
     enumerate_models,
     ground,
 )
-from revisekit.logic import _base_solver, _clauses, _index, _instance, _instances, ground_formula
+from revisekit.logic import _SubsetSolver, _clauses, _index, _instance, _instances, ground_formula
 from revisekit.revision import _UnionContext
 
 from conftest import mask
@@ -138,21 +138,24 @@ def _cases(seed, trials, max_constants=3):
 class TestAgainstReference:
     def test_base_numbering_and_clauses(self):
         features = set()
+        # a base's solver (as `consequences` builds it) numbers the atoms of
+        # every formula's instances, and clausifies each formula's instances
+        # as the reference clausifies its ground formulas
         for _, formulas, sig in _cases(1313, 400):
             base = BeliefBase.from_formulas(formulas)
             try:
-                ground_formulas = tuple(dict.fromkeys(
-                    gf for f in formulas for gf in ground_formula(f, sig)))
+                ground_of = [ground_formula(f, sig) for f in formulas]
             except EmptyUniverse as err:
                 with pytest.raises(EmptyUniverse) as raised:
-                    _base_solver(base, sig)
+                    _SubsetSolver(base.formulas, sig, ())
                 assert str(raised.value) == str(err)
                 features.add("empty universe")
                 continue
-            reference = _ref_atom_index([ground_formulas])
-            solver, index = _base_solver(base, sig)
-            assert index == {str(atom): i + 1 for atom, i in reference.items()}
-            assert solver.clauses == _ref_clausify(ground_formulas, reference)
+            reference = _ref_atom_index(ground_of)
+            checks = _SubsetSolver(base.formulas, sig, ())
+            assert checks._index == {str(atom): i + 1 for atom, i in reference.items()}
+            assert [_clauses(g, checks._index) for g in checks.instances] == [
+                _ref_clausify(g, reference) for g in ground_of]
             features |= _features(formulas, sig)
         assert features >= {
             "arity 0", "arity 1", "arity 2", "repeated variable", "constant in a rule",
@@ -180,7 +183,7 @@ class TestAgainstReference:
         assert _clauses(instances, _index([instances])) == []
 
     def test_union_context_clauses(self):
-        absent = phis = 0
+        absent = phis = unit_rules = 0
         for rng, formulas, sig in _cases(2026, 300):
             split = rng.randint(0, len(formulas))
             base = BeliefBase.from_formulas(formulas[:split])
@@ -199,17 +202,28 @@ class TestAgainstReference:
             literals = phi.literals if phi is not None else ()
             reference = _ref_atom_index([*ground_of, literals])
             first = len(reference) + 1
-            expected = [[-(first + i), *clause] for i, g in enumerate(ground_of)
-                        for clause in _ref_clausify(g, reference)]
+            # a formula of one unit clause is kept by its literal, any other by
+            # its selector s_i = first + i, which guards each of its clauses
+            expected, keys = [], []
+            for i, g in enumerate(ground_of):
+                own = _ref_clausify(g, reference)
+                if len(own) == 1 and len(own[0]) == 1:
+                    keys.append(own[0][0])
+                    unit_rules += isinstance(ctx.elements[i].formula, Rule)
+                else:
+                    keys.append(first + i)
+                    expected += [[-(first + i), *clause] for clause in own]
             negated = sorted({(reference[l.atom] + 1) * (1 if l.negated else -1) for l in literals})
             if negated and not any(-l in negated for l in negated):
                 expected.append([-(first + len(ground_of)), *negated])
-            ctx.subsets._assumptions(mask(()), False)  # builds the solver, which small unions skip
-            assert ctx.subsets._selectors == first
+            assumptions = ctx.subsets._assumptions(mask(()), False)  # builds the solver, which small unions skip
+            assert ctx.subsets._keys == keys
             assert ctx.subsets._solver.clauses == expected
+            # dropping everything assumes only the selectors off, then !s_phi
+            assert assumptions == [-k for k in keys if k >= first] + [-(first + len(keys))]
             phis += phi is not None
             absent += any(l.atom not in _ref_atoms(chain.from_iterable(ground_of)) for l in literals)
-        assert phis >= 100 and absent >= 30, (phis, absent)
+        assert phis >= 100 and absent >= 30 and unit_rules >= 10, (phis, absent, unit_rules)
 
 
 class TestConsequences:

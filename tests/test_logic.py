@@ -4,7 +4,9 @@ import pickle
 import random
 import time
 from collections import Counter
+from functools import reduce
 from itertools import product
+from operator import and_
 
 import pytest
 
@@ -599,6 +601,129 @@ class TestConsequences:
                     expected.add(Literal(atom, not values.pop()))
             assert consequences(base, sig) == expected
         assert min(seen.values()) >= 15, seen
+
+
+class TestUnitFormulasAsAssumptions:
+    """A formula whose clauses are one unit clause (every fact, and a rule
+    such as `!P(a) -> P(a)`) is kept by assuming its literal and dropped by
+    assuming nothing; every answer on every mask is still the models' answer."""
+
+    UNIVERSE = Signature(("a", "b"), (("P", 1), ("Q", 1), ("R", 0), ("S", 2)))
+    ATOMS = ("P(a)", "P(b)", "Q(a)", "Q(b)", "R", "S(a, b)")
+    # one unit clause, another rule's instance, tautological instances, plain rules
+    RULES = ("!P(a) -> P(a)", "!R -> R", "P(a) -> P(a)", "Q(X) -> Q(X)", "P(X) & !P(X) -> R",
+             "S(X, Y) -> S(Y, X)", "P(X) -> Q(X)", "!Q(X) -> P(X)", "R -> !P(a)",
+             "P(X) & Q(X) -> !R", "S(X, X) -> !Q(X)")
+
+    @classmethod
+    def _cases(cls, seed: int, trials: int):
+        rng = random.Random(seed)
+        yield [], (), cls.UNIVERSE  # the empty formula list
+        for _ in range(trials):
+            facts = [lit(("!" if rng.random() < 0.4 else "") + rng.choice(cls.ATOMS))
+                     for _ in range(rng.randint(0, 3))]
+            if facts and rng.random() < 0.4:
+                facts.append(facts[0])  # a duplicate fact
+            if facts and rng.random() < 0.4:
+                facts.append(facts[-1].negate())  # a complementary fact
+            rules = [parse_base(r + ".").formulas[0]
+                     for r in rng.sample(cls.RULES, rng.randint(0, 7 - len(facts)))]
+            formulas = facts + rules
+            rng.shuffle(formulas)
+            phi = tuple(lit(("!" if rng.random() < 0.5 else "") + a)
+                        for a in rng.sample(cls.ATOMS, rng.randint(0, 2)))
+            constants = ("a", "b") if rng.random() < 0.6 else ("a",)
+            universe = Signature(constants, cls.UNIVERSE.predicates)
+            yield formulas, phi, collect_signature([formulas, phi, universe])
+
+    @staticmethod
+    def _backbone(models: list, atoms) -> frozenset[Literal] | None:
+        """The literals every model agrees on (each model an int, bit j for
+        atoms[j] true); None when there is no model."""
+        if not models:
+            return None
+        every = (1 << len(atoms)) - 1
+        true = reduce(and_, models, every)
+        false = reduce(and_, [every ^ m for m in models], every)
+        return frozenset(Literal(atom, bool(false >> j & 1)) for j, atom in enumerate(atoms)
+                         if (true | false) >> j & 1)
+
+    @classmethod
+    def _oracle(cls, formulas, sig) -> frozenset[Literal] | None:
+        atoms = sig.herbrand_atoms()
+        grounds = [gf for f in formulas for gf in ground_formula(f, sig)]
+        return cls._backbone([sum(v << j for j, v in enumerate(m.values))
+                              for m in enumerate_models(grounds, sig)], atoms)
+
+    def test_every_mask_matches_models(self):
+        seen = Counter()
+        rng = random.Random(4)
+        for formulas, phi, sig in self._cases(2024, 40):
+            atoms = sig.herbrand_atoms()
+            grounds = [ground_formula(f, sig) for f in formulas]
+            # each interpretation: the formulas it satisfies, whether it
+            # falsifies phi, and its atoms' values as bits
+            profiles = []
+            for m in enumerate_models((), sig):
+                values = m.as_dict()
+                held = sum(1 << i for i, g in enumerate(grounds)
+                           if all(logic._evaluate(gf, values) for gf in g))
+                refuted = not all(logic._evaluate(l, values) for l in phi)
+                profiles.append((held, refuted, sum(v << j for j, v in enumerate(m.values))))
+            checks = logic._SubsetSolver(formulas, sig, phi)
+            # the same masks on a solver of their own, so the solver path
+            # answers `satisfiable` also where the truth tables would
+            solved = logic._SubsetSolver(formulas, sig, phi)
+            wide = len(checks._index) > logic._TABLE_ATOMS
+            for kept in range(1 << len(formulas)):
+                models = [vals for held, _, vals in profiles if kept & held == kept]
+                refuting = any(kept & held == kept and refuted for held, refuted, _ in profiles)
+                for refute, expected in ((False, bool(models)), (True, refuting if phi else bool(models))):
+                    assert checks.satisfiable(kept, refute) == expected, (formulas, kept, refute)
+                    assumptions = solved._assumptions(kept, refute)
+                    assert (solved._solver.solve(assumptions) is not None) == expected
+                expected = self._backbone(models, atoms)
+                premises = [f for i, f in enumerate(formulas) if kept >> i & 1]
+                distinct = BeliefBase.from_formulas(dict.fromkeys(premises))
+                if expected is None:
+                    with pytest.raises(InconsistentBase):
+                        checks.consequences(kept)
+                    with pytest.raises(InconsistentBase):
+                        consequences(distinct, sig)
+                    seen["inconsistent"] += 1
+                    continue
+                assert checks.consequences(kept) == expected, (formulas, kept)
+                assert consequences(distinct, sig) == expected
+                seen["consistent"] += 1
+                seen["wide"] += wide
+                seen["duplicate kept"] += len(premises) > len(distinct)
+                seen["fact dropped"] += any(isinstance(f, Literal) and not kept >> i & 1
+                                            for i, f in enumerate(formulas))
+            # change measures between random pairs of masks, against the
+            # backbones of both over their own combined signature
+            for _ in range(6):
+                pair = [BeliefBase.from_formulas(dict.fromkeys(
+                    f for i, f in enumerate(formulas) if m >> i & 1))
+                    for m in (rng.getrandbits(len(formulas)), rng.getrandbits(len(formulas)))]
+                pair_sig = collect_signature(pair)
+                try:
+                    before, after = (self._oracle(b.formulas, pair_sig) for b in pair)
+                except EmptyUniverse:  # a rule with variables, and no constant left
+                    with pytest.raises(EmptyUniverse):
+                        change_measure(*pair)
+                    continue
+                if before is None or after is None:
+                    with pytest.raises(InconsistentBase):
+                        change_measure(*pair)
+                    continue
+                union = before | after
+                m = change_measure(*pair)
+                assert (m.numerator, m.denominator) == (len(before ^ after), len(union))
+                seen["measure"] += 1
+            first = len(solved._index) + 1  # keys below it are unit clauses' literals
+            seen["unit rule"] += any(isinstance(f, Rule) and key < first
+                                     for f, key in zip(formulas, solved._keys))
+        assert min(seen.values()) >= 10, seen
 
 
 class TestEnumerateModels:

@@ -288,10 +288,13 @@ class TestRandomInstance:
 
 
 def _solver_pick(rng, sig, base):
-    """The explanandum pick as made on a raw solver of the base: the base
-    entails a literal iff the solver has no model under its complement, and
-    nothing about an atom it never mentions."""
-    solver, index = logic._base_solver(base, sig)
+    """The explanandum pick as made on the selector solver of the base: the
+    base entails a literal iff the solver has no model under the assumptions
+    keeping every formula plus its complement, and nothing about an atom it
+    never mentions."""
+    checks = logic._SubsetSolver(base.formulas, sig, ())
+    keep = checks._assumptions((1 << len(base)) - 1, False)  # builds the solver
+    index = checks._index
     conflict = rng.random() < 0.55
     atoms = list(sig.herbrand_atoms())
     rng.shuffle(atoms)
@@ -301,7 +304,7 @@ def _solver_pick(rng, sig, base):
             if v is None:
                 continue
             for lit, complement in ((Literal(atom), -v), (Literal(atom, True), v)):
-                if solver.solve((complement,)) is None:
+                if checks._solver.solve([*keep, complement]) is None:
                     return Explanandum((lit.negate(),))
     width = 2 if rng.random() < 0.3 and len(atoms) > 1 else 1
     picked = tuple(Literal(atom, rng.random() < 0.4) for atom in atoms[:width])
@@ -329,7 +332,7 @@ class TestPickExplanandum:
             try:
                 entailed = logic.consequences(base, sig)
             except InconsistentBase:
-                assert logic._base_solver(base, sig)[0].solve() is None
+                assert not logic._SubsetSolver(base.formulas, sig, ()).satisfiable((1 << len(base)) - 1, False)
                 inconsistent += 1
                 continue
             reference, changed = random.Random(i), random.Random(i)
