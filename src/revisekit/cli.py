@@ -30,6 +30,7 @@ from . import dsl, falappa, metrics, postulates
 from .errors import (
     ArityMismatch,
     CapExceeded,
+    EmptyUniverse,
     InconsistentBase,
     InvalidExplanation,
     ParseError,
@@ -132,19 +133,9 @@ def _read(path: Path) -> str:
         return f.read()
 
 
-def _looks_like_scenario(text: str) -> bool:
-    """Whether the first line with content opens a section, lines split and
-    stripped as the DSL splits and strips them."""
-    for line in text.split("\n"):
-        stripped = line.split("//", 1)[0].strip(dsl._BLANKS)
-        if stripped:
-            return stripped.startswith("[")
-    return False
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     text = _read(args.path)
-    if _looks_like_scenario(text):
+    if dsl._tokenize(text)[0][0] == "lbrack":  # a scenario opens with a section header
         scenario = dsl.parse_scenario(text)
         if args.format == "json":
             print(json.dumps({"kind": "scenario", "valid": True, "id": scenario.id,
@@ -338,7 +329,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error at {exc.span}: {exc.message}", file=sys.stderr)
         return EXIT_PARSE
-    except (ScenarioInvalid, ArityMismatch) as exc:
+    except (ScenarioInvalid, ArityMismatch, EmptyUniverse) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except InvalidExplanation as exc:

@@ -14,10 +14,10 @@ Identifiers are ASCII; any other character is a parse error at its position.
 In argument position an uppercase-led identifier is a variable and a
 lowercase-led one is a constant; any identifier may appear in functor position.
 
-Scenario files are sectioned:
+Scenario files share these tokens, in sections headed `[ ident? ]` alone on a line:
 
-    [meta]          id = ..., type = I | II | III
-    [statements]    one `LABEL: conditional|categorical: statement.` per line
+    [meta]          one `ident = value` per line; a value ends at a comment
+    [statements]    one `ident: conditional|categorical: statement.` per line
     [fact]          a conjunction of ground literals, "."-terminated
     [explanation]   optional; base statements
 
@@ -49,21 +49,18 @@ from .logic import (
 # --- tokenizer --------------------------------------------------------------
 
 _PUNCT = {"!": "bang", "&": "amp", ".": "dot", ",": "comma", "(": "lparen",
-          ")": "rparen", ":": "colon"}
+          ")": "rparen", ":": "colon", "[": "lbrack", "]": "rbrack"}
 
 # One alternative per lexical class, tried in order; a blank run matches no
 # group, and any other character falls through to `bad`.  `ident` is
 # `logic._IDENT`'s rule, so every identifier token is a valid `Term`/`Atom` name.
-_LEXEME = re.compile(r"(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<arrow>->)|(?P<punct>[!&.,():])"
+# A `value` is `=` and the rest of its line up to a comment, less trailing blanks.
+_LEXEME = re.compile(r"(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<arrow>->)|(?P<punct>[!&.,():\[\]])"
+                     r"|(?P<value>=(?:[ \t\r]*(?:[^\s/]|/(?!/)))*)"
                      r"|(?P<newline>\n+)|[ \t\r]+|(?P<comment>//[^\n]*)|(?P<bad>.)")
 
-# The blanks `_LEXEME` skips, and the only ones a scenario line with content is stripped of.
-_BLANKS = " \t\r"
-# Any other whitespace, which `_LEXEME` takes as a bad character.
-_ODD_SPACE = re.compile(r"[^\S \t\r]")
-
-# (kind, text, line, column): kind is ident | bang | amp | arrow | dot | comma
-# | lparen | rparen | colon | eof.  Spans are built only for errors (`_span`).
+# (kind, text, line, column): kind is a `_LEXEME` group, a `_PUNCT` name or
+# eof.  Spans are built only for errors (`_span`).
 _Token = tuple[str, str, int, int]
 
 
@@ -97,15 +94,17 @@ def _tokenize(text: str) -> list[_Token]:
 # --- parser -----------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+    """Recursive descent over tokens that end in eof; no parse reads past an eof it took."""
+
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
         self.pos = 0
 
     def peek(self, offset: int = 0) -> _Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos + offset]
 
     def take(self, kind: str) -> _Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok[0] != kind:
             raise ParseError(
                 f"expected {kind}, found {tok[1] or 'end of input'!r}",
@@ -116,16 +115,20 @@ class _Parser:
         return tok
 
     def at(self, kind: str) -> bool:
-        return self.peek()[0] == kind
+        return self.tokens[self.pos][0] == kind
+
+    def accept(self, kind: str) -> bool:
+        """Take the next token if it is of `kind`, and say whether it was."""
+        found = self.tokens[self.pos][0] == kind
+        self.pos += found
+        return found
 
     def parse_atom(self) -> Atom:
         name = self.take("ident")
         args: list[Term] = []
-        if self.at("lparen"):
-            self.take("lparen")
+        if self.accept("lparen"):
             args.append(self.parse_term())
-            while self.at("comma"):
-                self.take("comma")
+            while self.accept("comma"):
                 args.append(self.parse_term())
             self.take("rparen")
         return Atom(name[1], tuple(args))
@@ -134,21 +137,16 @@ class _Parser:
         return Term(self.take("ident")[1])
 
     def parse_literal(self) -> Literal:
-        negated = False
-        if self.at("bang"):
-            self.take("bang")
-            negated = True
+        negated = self.accept("bang")
         return Literal(self.parse_atom(), negated)
 
     def parse_statement_body(self) -> Literal | Rule:
         """One fact or rule, without label or terminating dot."""
         first = self.peek()
         literals = [self.parse_literal()]
-        while self.at("amp"):
-            self.take("amp")
+        while self.accept("amp"):
             literals.append(self.parse_literal())
-        if self.at("arrow"):
-            self.take("arrow")
+        if self.accept("arrow"):
             head = self.parse_literal()
             try:
                 return Rule(tuple(literals), head)
@@ -183,11 +181,9 @@ class _Parser:
     def parse_conjunction(self) -> tuple[Literal, ...]:
         first = self.peek()
         literals = [self.parse_literal()]
-        while self.at("amp"):
-            self.take("amp")
+        while self.accept("amp"):
             literals.append(self.parse_literal())
-        if self.at("dot"):
-            self.take("dot")
+        self.accept("dot")
         self.take("eof")
         for lit in literals:
             if not lit.is_ground:
@@ -223,12 +219,12 @@ def _label_statements(raw: list[tuple[str | None, Literal | Rule]], parser: _Par
 
 def parse_base(text: str) -> BeliefBase:
     """Parse a belief base; unlabeled elements get f1, f2, ... / r1, r2, ..."""
-    return _Parser(text).parse_base()
+    return _Parser(_tokenize(text)).parse_base()
 
 
 def parse_literals(text: str) -> tuple[Literal, ...]:
     """Parse a conjunction of ground literals (an explanandum or scenario fact)."""
-    return _Parser(text).parse_conjunction()
+    return _Parser(_tokenize(text)).parse_conjunction()
 
 
 # --- scenarios ---------------------------------------------------------------
@@ -269,100 +265,81 @@ class Scenario:
         return tuple(s for s in self.statements if s.kind == "categorical")
 
 
-# (line, column, text): a scenario line's content, without its comment and
-# surrounding blanks, and the file position where that content starts.
-_Line = tuple[int, int, str]
+def _after(tok: _Token) -> _Token:
+    """An eof token just past `tok`, on its line."""
+    return ("eof", "", tok[2], tok[3] + len(tok[1]))
 
 
-def _split_sections(text: str) -> dict[str, list[_Line]]:
-    """Each known section's content lines, keyed by name; the first entry of
-    each list is the position just after its header, with empty text.
+def _split_sections(tokens: list[_Token]) -> dict[str, list[_Token]]:
+    """Each section's tokens keyed by its lowercased name, closed by an eof
+    token just past its last token, or just past its header if it has none.
 
-    Lines end at `\n` only, and a line is stripped of the tokenizer's blanks
-    (` \t\r`) only, so spans count lines and columns one way; a line of
-    those blanks alone is blank, and one holding any other whitespace is not."""
-    sections: dict[str, list[_Line]] = {}
-    current: str | None = None
-    for lineno, rawline in enumerate(text.split("\n"), start=1):
-        content = rawline.split("//", 1)[0]
-        line = content.strip(_BLANKS)
-        if not line:
-            continue
-        column = len(content) - len(content.lstrip(_BLANKS)) + 1
-        if line.startswith("[") and line.endswith("]"):
-            _reject_odd_space(lineno, column, line)
-            current = line[1:-1].strip(_BLANKS).lower()
-            if current not in SECTIONS:
-                raise ParseError(f"unknown section [{current}]", SourceSpan(lineno, column, len(line)),
-                                 expected=SECTIONS)
-            if current in sections:
-                raise ParseError(f"duplicate section [{current}]", SourceSpan(lineno, column, len(line)))
-            sections[current] = [(lineno, column + len(line), "")]
-            continue
-        if current is None:
-            raise ParseError("content before the first [section] header",
-                             SourceSpan(lineno, column, len(line)))
-        sections[current].append((lineno, column, line))
+    A header is a `[` that is the first token on its line, an optional
+    identifier and a `]`, with nothing after it on that line."""
+    last = len(tokens) - 1  # the file's own eof token
+    heads = [i for i in range(last)
+             if tokens[i][0] == "lbrack" and (i == 0 or tokens[i - 1][2] < tokens[i][2])]
+    if last and heads[:1] != [0]:
+        raise ParseError("content before the first [section] header", _span(tokens[0]))
+    sections: dict[str, list[_Token]] = {}
+    for head, stop in zip(heads, heads[1:] + [last]):
+        end = head + 1
+        while end < stop and tokens[end][2] == tokens[head][2]:
+            end += 1
+        header = _Parser(tokens[head:end] + [_after(tokens[end - 1])])
+        opening = header.take("lbrack")
+        name = header.take("ident")[1].lower() if header.at("ident") else ""
+        closing = header.take("rbrack")
+        header.take("eof")
+        span = SourceSpan(opening[2], opening[3], closing[3] + 1 - opening[3])
+        if name not in SECTIONS:
+            raise ParseError(f"unknown section [{name}]", span, expected=SECTIONS)
+        if name in sections:
+            raise ParseError(f"duplicate section [{name}]", span)
+        sections[name] = tokens[end:stop] + [_after(tokens[stop - 1])]
     return sections
 
 
-def _positioned(lines: list[_Line]) -> str:
-    """The lines as one text with each at its file position, so that every
-    token span, and so every parse error, is a file position."""
-    parts, at = [], 1
-    for lineno, column, line in lines:
-        parts.append("\n" * (lineno - at) + " " * (column - 1) + line)
-        at = lineno
-    return "".join(parts)
+def _by_line(tokens: list[_Token]) -> list[_Token]:
+    """A section's tokens with an eof token also just past each line, so that
+    each line parses as one input and the section's own eof follows the last."""
+    lined = tokens[:1]
+    for tok in tokens[1:]:
+        if tok[2] != lined[-1][2]:
+            lined.append(_after(lined[-1]))
+        lined.append(tok)
+    return lined + lined[-1:]
 
 
-def _reject_odd_space(lineno: int, column: int, text: str) -> None:
-    """Fail as the tokenizer does on the first whitespace character in `text`,
-    which starts at the file position (lineno, column), that is not a blank."""
-    if bad := _ODD_SPACE.search(text):
-        raise ParseError(f"unexpected character {bad.group()!r}", SourceSpan(lineno, column + bad.start()))
-
-
-def _parse_meta(lines: list[_Line]) -> dict[str, str]:
-    meta = {}
-    for lineno, column, line in lines:
-        _reject_odd_space(lineno, column, line)
-        if "=" not in line:
-            raise ParseError("expected `key = value` in [meta]", SourceSpan(lineno, column, len(line)))
-        key, value = line.split("=", 1)
-        meta[key.strip(_BLANKS)] = value.strip(_BLANKS)
-    return meta
-
-
-def _parse_scenario_statement(lineno: int, column: int, line: str) -> ScenarioStatement:
-    parts = line.split(":", 2)
-    if len(parts) != 3:
-        raise ParseError("expected `LABEL: kind: statement.`", SourceSpan(lineno, column, len(line)))
-    # the body's own whitespace is the tokenizer's to reject, in reading order
-    _reject_odd_space(lineno, column, line[:len(line) - len(parts[2])])
-    label, kind, body = (p.strip(_BLANKS) for p in parts)
-    if kind not in STATEMENT_KINDS:
-        raise ParseError(f"unknown statement kind {kind!r}", SourceSpan(lineno, column, len(line)),
-                         expected=STATEMENT_KINDS)
-    parsed = _Parser(_positioned([(lineno, column + len(line) - len(body), body)]))
-    formula = parsed.parse_statement_body()
-    parsed.take("dot")
-    parsed.take("eof")
-    if kind == "conditional" and not isinstance(formula, Rule):
+def _parse_scenario_statement(lines: _Parser) -> ScenarioStatement:
+    label = lines.take("ident")[1]
+    lines.take("colon")
+    kind = lines.take("ident")
+    if kind[1] not in STATEMENT_KINDS:
+        raise ParseError(f"unknown statement kind {kind[1]!r}", _span(kind), expected=STATEMENT_KINDS)
+    lines.take("colon")
+    formula = lines.parse_statement_body()
+    lines.take("dot")
+    lines.take("eof")
+    if kind[1] == "conditional" and not isinstance(formula, Rule):
         raise ScenarioInvalid("conditional-statement-form", f"{label} is not a rule")
-    if kind == "categorical" and isinstance(formula, Rule):
+    if kind[1] == "categorical" and isinstance(formula, Rule):
         raise ScenarioInvalid("categorical-statement-form", f"{label} is not a ground fact")
-    return ScenarioStatement(label, kind, formula)
+    return ScenarioStatement(label, kind[1], formula)
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario file; raises ScenarioInvalid naming the
     violated invariant when the content is syntactically fine but ill-formed."""
-    sections = _split_sections(text)
+    sections = _split_sections(_tokenize(text))
     for required in ("meta", "statements", "fact"):
         if required not in sections:
             raise ParseError(f"missing required section [{required}]", SourceSpan(1, 1))
-    meta = _parse_meta(sections["meta"][1:])
+    meta, lines = {}, _Parser(_by_line(sections["meta"]))
+    while not lines.at("eof"):
+        key = lines.take("ident")[1]
+        meta[key] = lines.take("value")[1][1:].strip()
+        lines.take("eof")
     sid = meta.get("id", "")
     ptype = meta.get("type", "")
     if not sid:
@@ -370,20 +347,22 @@ def parse_scenario(text: str) -> Scenario:
     if ptype not in VALID_TYPES:
         raise ScenarioInvalid("meta-type", f"type must be one of {VALID_TYPES}, got {ptype!r}")
 
-    statements = tuple(_parse_scenario_statement(*line) for line in sections["statements"][1:])
-    fact = parse_literals(_positioned(sections["fact"]))
+    statements, lines = [], _Parser(_by_line(sections["statements"]))
+    while not lines.at("eof"):
+        statements.append(_parse_scenario_statement(lines))
+    fact = _Parser(sections["fact"]).parse_conjunction()
     explanation = None
     if "explanation" in sections:
-        explanation = parse_base(_positioned(sections["explanation"]))
+        explanation = _Parser(sections["explanation"]).parse_base()
 
-    scenario = Scenario(sid, ptype, statements, fact, explanation)
+    scenario = Scenario(sid, ptype, tuple(statements), fact, explanation)
     _check_scenario_invariants(scenario)
     return scenario
 
 
 def _check_scenario_invariants(sc: Scenario) -> None:
     try:
-        sc.belief_base()
+        base = sc.belief_base()
     except ValueError as exc:
         raise ScenarioInvalid("statement-wellformedness", str(exc)) from exc
     n_cond = len(sc.conditionals())
@@ -402,7 +381,6 @@ def _check_scenario_invariants(sc: Scenario) -> None:
     elif len(sc.fact) != want_literals:
         raise ScenarioInvalid("fact-size", f"type {sc.problem_type} facts carry exactly 1 literal")
 
-    base = sc.belief_base()
     checks = _SubsetSolver((*base.formulas, *sc.fact), collect_signature([base, sc.fact]), ())
     if checks.satisfiable((1 << len(checks.formulas)) - 1, False):
         raise ScenarioInvalid("fact-consistent-with-statements",

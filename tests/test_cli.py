@@ -307,6 +307,20 @@ class TestRevise:
         assert capsys.readouterr().err == "error: the ground cap must not be negative, got -3\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernels", "rules.rk", "empty.rk"],
+    # the explanation's own signature has no constant for its rule
+    ["revise", "empty.rk", "why.rk", "S"],
+])
+def test_rule_over_an_empty_universe_exit_3(tmp_path, capsys, argv):
+    texts = {"rules.rk": "P(X) -> Q(X).\n", "empty.rk": "", "why.rk": "S. P(X) -> Q(X).\n"}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert cli.main([arg if arg not in texts else str(tmp_path / arg) for arg in argv]) == 3
+    assert capsys.readouterr().err == (
+        "invalid input: rule P(X) -> Q(X) has variables but the universe is empty\n")
+
+
 class TestKernels:
     def test_six_lines(self, base_file, expl_file, capsys):
         assert cli.main(["kernels", str(base_file), str(expl_file)]) == 0

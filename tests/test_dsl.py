@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import string
 
 import pytest
@@ -347,7 +348,7 @@ def test_roundtrip_property(base):
 # --- differential: the regex tokenizer against the character loop it replaced --
 
 _REF_PUNCT = {"!": "bang", "&": "amp", ".": "dot", ",": "comma", "(": "lparen",
-              ")": "rparen", ":": "colon"}
+              ")": "rparen", ":": "colon", "[": "lbrack", "]": "rbrack"}
 
 
 def _reference_tokens(text):
@@ -377,6 +378,17 @@ def _reference_tokens(text):
             tokens.append(("ident", text[i:j], line, col, j - i))
             col += j - i
             i = j
+            continue
+        if ch == "=":  # a value: the rest of the line up to a comment, without trailing blanks
+            j = end = i + 1
+            while (j < n and text[j] != "\n" and not text.startswith("//", j)
+                   and (text[j] in " \t\r" or not text[j].isspace())):
+                j += 1
+                if text[j - 1] not in " \t\r":
+                    end = j
+            tokens.append(("value", text[i:end], line, col, end - i))
+            col += end - i
+            i = end
             continue
         if text.startswith("->", i):
             tokens.append(("arrow", "->", line, col, 2))
@@ -493,3 +505,58 @@ def test_tokenizer_matches_character_loop(monkeypatch):
     assert {("parse_base", "base"), ("parse_base", "parse error"),
             ("parse_literals", "literals"), ("parse_scenario", "scenario"),
             ("parse_scenario", "parse error")} <= kinds
+
+
+# --- parity: one tokenizer reads a scenario and a base ---------------------------
+
+# a type I scenario whose [explanation] body starts on line 13
+_PREFIX = ("[meta]\nid = t\ntype = I\n\n[statements]\nS1: conditional: p(X) -> q(X).\n"
+           "S2: categorical: p(a).\n\n[fact]\n!q(a).\n\n[explanation]\n")
+_BODY_LINE = _PREFIX.count("\n")
+# the DSL's tokens and some that are not, blanks, a form feed, comments and
+# line ends, and whole statements; never a `[`, which could open a section
+_BODY_PIECES = [*"!&.,():]-/$", "->", "//", " // c", *" \t\r\f\n", "P", "Q(a)", "R(X, b)", "X",
+                "k1: ", "P(a).", "P(X) -> Q(X).", "Q(a) & P(b) -> !R(a, b)."]
+
+
+def _read_as(parse, text):
+    """What `parse` makes of `text`: its statements, or the error's message and position."""
+    try:
+        value = parse(text)
+    except ParseError as exc:
+        return ("parse error", exc.message, exc.span.line, exc.span.column)
+    except RevisekitError as exc:
+        return (type(exc).__name__, str(exc))
+    base = value.explanation if hasattr(value, "explanation") else value
+    return ("base", [str(st) for st in base.statements])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_BODY_PIECES), max_size=14).map("".join))
+def test_explanation_body_reads_as_a_base(body):
+    got = _read_as(parse_scenario, _PREFIX + body)
+    # the section ends just past its last token, where a base ending there ends
+    ending = re.sub(r"(?:[ \t\r\n]|//[^\n]*)*\Z", "", body)
+    expected = _read_as(parse_base, ending)
+    if expected[0] == "parse error":
+        expected = (*expected[:2], expected[2] + _BODY_LINE, expected[3])
+    assert got == expected
+    assert got[:2] == _read_as(parse_base, body)[:2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from([*"aZ09-_./:[]=é", *" \t\r\f\x85　"]), max_size=8)
+       .filter(lambda value: "//" not in value))
+def test_meta_value_is_the_rest_of_its_line(value):
+    text = _PREFIX.replace("id = t", "id = " + value)
+    odd = [i for i, c in enumerate(value) if c.isspace() and c not in " \t\r"]
+    if odd:
+        with pytest.raises(ParseError) as err:
+            parse_scenario(text)
+        assert err.value.message == f"unexpected character {value[odd[0]]!r}"
+        assert err.value.span == SourceSpan(2, len("id = ") + 1 + odd[0])
+    elif value.strip(" \t\r"):
+        assert parse_scenario(text).id == value.strip(" \t\r")
+    else:
+        with pytest.raises(ScenarioInvalid, match="missing id"):
+            parse_scenario(text)
