@@ -62,6 +62,7 @@ _LEXEME = re.compile(r"(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<arrow>->)|(?P<punct>
 # (kind, text, line, column): kind is a `_LEXEME` group, a `_PUNCT` name or
 # eof.  Spans are built only for errors (`_span`).
 _Token = tuple[str, str, int, int]
+_EOF_TEXT = {"": "end of input", "\n": "end of line"}  # what an error says it found at an eof
 
 
 def _span(tok: _Token) -> SourceSpan:
@@ -107,7 +108,7 @@ class _Parser:
         tok = self.tokens[self.pos]
         if tok[0] != kind:
             raise ParseError(
-                f"expected {kind}, found {tok[1] or 'end of input'!r}",
+                f"expected {kind}, found {_EOF_TEXT.get(tok[1], tok[1])!r}",
                 _span(tok),
                 expected=(kind,),
             )
@@ -265,9 +266,9 @@ class Scenario:
         return tuple(s for s in self.statements if s.kind == "categorical")
 
 
-def _after(tok: _Token) -> _Token:
-    """An eof token just past `tok`, on its line."""
-    return ("eof", "", tok[2], tok[3] + len(tok[1]))
+def _after(tok: _Token, text: str = "") -> _Token:
+    """An eof token just past `tok`, on its line; `text` is "\n" unless the file ends there."""
+    return ("eof", text, tok[2], tok[3] + len(tok[1]))
 
 
 def _split_sections(tokens: list[_Token]) -> dict[str, list[_Token]]:
@@ -286,7 +287,7 @@ def _split_sections(tokens: list[_Token]) -> dict[str, list[_Token]]:
         end = head + 1
         while end < stop and tokens[end][2] == tokens[head][2]:
             end += 1
-        header = _Parser(tokens[head:end] + [_after(tokens[end - 1])])
+        header = _Parser(tokens[head:end] + [_after(tokens[end - 1], "\n" if end < last else "")])
         opening = header.take("lbrack")
         name = header.take("ident")[1].lower() if header.at("ident") else ""
         closing = header.take("rbrack")
@@ -296,7 +297,7 @@ def _split_sections(tokens: list[_Token]) -> dict[str, list[_Token]]:
             raise ParseError(f"unknown section [{name}]", span, expected=SECTIONS)
         if name in sections:
             raise ParseError(f"duplicate section [{name}]", span)
-        sections[name] = tokens[end:stop] + [_after(tokens[stop - 1])]
+        sections[name] = tokens[end:stop] + [_after(tokens[stop - 1], "\n" if stop < last else "")]
     return sections
 
 
@@ -306,7 +307,7 @@ def _by_line(tokens: list[_Token]) -> list[_Token]:
     lined = tokens[:1]
     for tok in tokens[1:]:
         if tok[2] != lined[-1][2]:
-            lined.append(_after(lined[-1]))
+            lined.append(_after(lined[-1], "\n"))
         lined.append(tok)
     return lined + lined[-1:]
 
@@ -315,6 +316,8 @@ def _parse_scenario_statement(lines: _Parser) -> ScenarioStatement:
     label = lines.take("ident")[1]
     lines.take("colon")
     kind = lines.take("ident")
+    if not lines.at("colon"):
+        raise ParseError("expected `LABEL: kind: statement.`", _span(kind))
     if kind[1] not in STATEMENT_KINDS:
         raise ParseError(f"unknown statement kind {kind[1]!r}", _span(kind), expected=STATEMENT_KINDS)
     lines.take("colon")

@@ -813,6 +813,18 @@ class _SubsetSolver:
         return sum(1 << i for i, g in enumerate(self.instances)
                    if any(text == atom._text for inst in g for text, _ in inst))
 
+    def components(self) -> list[int]:
+        """The masks of the formulas' atom-connected components, by lowest
+        index: formulas sharing a ground atom, directly or through others."""
+        parts: list[tuple[set[str], int]] = []  # each component's atom texts and mask
+        for i, g in enumerate(self.instances):
+            atoms, mask = {text for inst in g for text, _ in inst}, 1 << i
+            for part in [part for part in parts if part[0] & atoms]:
+                parts.remove(part)
+                atoms, mask = atoms | part[0], mask | part[1]
+            parts.append((atoms, mask))
+        return sorted((mask for _, mask in parts), key=lambda mask: mask & -mask)
+
 
 def consequences(base: BeliefBase, sig: Signature) -> frozenset[Literal]:
     """Every ground literal over the signature's Herbrand base that the base entails.

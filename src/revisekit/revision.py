@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, islice, product
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .errors import CapExceeded, EmptyUniverse, InvalidExplanation, NoCandidates
@@ -298,29 +298,41 @@ class _UnionContext:
 
     def msses_and_muses(self) -> tuple[list[int], list[int]]:
         """Every maximal consistent and minimal unsatisfiable subset of the
-        union, by MARCO (Liffiton, Previti, Malik & Marques-Silva, 2016).  Each
-        model of the map (one variable per element, kept unless false) is a
-        seed; a consistent one grows to an MSS and its subsets get blocked,
-        an inconsistent one shrinks to a MUS and its supersets get blocked.
+        union, as lists of masks in no set order, kept on the context; from then
+        on `kernel_indices` decides its candidates by the MSSes' complements.
 
-        Both families are lists of masks, kept on the context; from then on
-        `kernel_indices` decides its candidates by the MSSes' complements."""
+        A consistent union is its only MSS.  Otherwise MARCO (Liffiton, Previti,
+        Malik & Marques-Silva, 2016) runs on each atom-connected component
+        apart, with one map variable per element of it (kept unless false): a
+        consistent seed grows to an MSS and its subsets get blocked, an
+        inconsistent one shrinks to a MUS and its supersets get blocked.
+        Consistency factors over components and every MUS lies inside one, so
+        the union's MSSes join one MSS per component and its MUSes are theirs
+        (Reiter 1987): the checks add up over components, not multiply."""
         if self._families is not None:
             return self._families
-        n = len(self.elements)
-        blocking: list[list[int]] = []
-        msses: list[int] = []
+        everything = (1 << len(self.elements)) - 1
+        if self.consistent(everything):
+            self._families = [everything], []
+            return self._families
+        parts: list[list[int]] = []
         muses: list[int] = []
-        while (model := _Solver(blocking).solve()) is not None:
-            seed = sum(1 << i for i in range(n) if -(i + 1) not in model)
-            ok = self.consistent(seed)
-            # grow adds, shrink drops, ascending; the block names that side: MSS outside, MUS inside
-            for i in range(n):
-                if (seed >> i & 1) != ok and self.consistent(seed ^ (1 << i)) == ok:
-                    seed ^= 1 << i
-            (msses if ok else muses).append(seed)
-            blocking.append([i + 1 if ok else -(i + 1) for i in range(n) if (seed >> i & 1) != ok])
-        self._families = msses, muses
+        for component in self.subsets.components():
+            bits = [1 << i for i in range(len(self.elements)) if component >> i & 1]
+            blocking: list[list[int]] = []
+            msses: list[int] = []
+            while (model := _Solver(blocking).solve()) is not None:
+                seed = sum(bit for j, bit in enumerate(bits) if -(j + 1) not in model)
+                ok = self.consistent(seed)
+                # grow adds, shrink drops, ascending; the block names that side: MSS outside, MUS inside
+                for bit in bits:
+                    if bool(seed & bit) != ok and self.consistent(seed ^ bit) == ok:
+                        seed ^= bit
+                (msses if ok else muses).append(seed)
+                blocking.append([j + 1 if ok else -(j + 1)
+                                 for j, bit in enumerate(bits) if bool(seed & bit) != ok])
+            parts.append(msses)
+        self._families = [sum(choice) for choice in product(*parts)], muses
         return self._families
 
     def correction_set(self, indices: Sequence[int]) -> CorrectionSet:
@@ -337,8 +349,9 @@ def correction_kernel(base: BeliefBase, explanation: BeliefBase,
     the selection upstream degenerates to the empty retraction.
 
     A listing reads the whole stream, so it first takes the minimal
-    correction sets from one MARCO enumeration, and its walk over the 2^n
-    candidates makes no SAT call.
+    correction sets from `msses_and_muses`, one MARCO enumeration per
+    atom-connected component, and its walk over the 2^n candidates makes no
+    SAT call.
     """
     ctx = _UnionContext(base, explanation, None, cap)
     ctx.msses_and_muses()

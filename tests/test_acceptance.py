@@ -119,6 +119,24 @@ def test_forced_selection_revisions():
             assert entails(ground(result.revised, sig).formulas, phi.literals)
 
 
+def test_weighted_selection_at_the_default_cap():
+    # six independent three-formula conflicts and six unrelated facts: 24
+    # ground formulas, the default cap, and 3^6 maximal consistent subsets
+    with criterion("weighted-selection-at-the-default-cap", 1.0):
+        base = parse_base(" ".join(f"P{i}(c). P{i}(X) -> Q{i}(X). U{i}(c)." for i in range(6)))
+        explanation = parse_base(" ".join(f"!Q{i}(c)." for i in range(6)))
+        phi = Explanandum(parse_literals(" & ".join(f"!Q{i}(c)" for i in range(6))))
+        sig = collect_signature([base, explanation])
+        assert sum(len(ground_formula(st.formula, sig))
+                   for st in [*base.statements, *explanation.statements]) == 24
+        result = revise(base, explanation, phi, SelectionStrategy("weighted"))
+        # each conflict keeps !Qi(c) and loses one of its other two, the
+        # canonically first one, as every formula weighs the same
+        expected = {min(f"P{i}(c)", f"P{i}(X) -> Q{i}(X)") for i in range(6)}
+        assert expected == {f"P{i}(X) -> Q{i}(X)" for i in range(6)}
+        assert result.retracted.canonical_forms() == expected
+
+
 def test_change_measure_exact_rationals():
     with criterion("change-measure-exact-rationals", 1.0):
         prior = parse_base(

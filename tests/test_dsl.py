@@ -236,6 +236,33 @@ class TestParseScenario:
         assert err.value.message == "unexpected character '\\x0c'"
         assert err.value.span == SourceSpan(3, 2)
 
+    @pytest.mark.parametrize("old, new, message, line, column", [
+        # a statement split after `->` fails at the end of its first line
+        ("S1: conditional: p(X) -> q(X).", "S1: conditional: p(X) ->\nq(X).",
+         "expected ident, found 'end of line'", 6, 25),
+        ("id = t", "id", "expected value, found 'end of line'", 2, 3),
+        # so is a section's end where another section follows
+        ("!q(a).\n", "!q(a) &\n\n[explanation]\nr(a).\n", "expected ident, found 'end of line'", 10, 8),
+        # the file's own end is still the end of input
+        ("!q(a).\n", "!q(a) &", "expected ident, found 'end of input'", 10, 8),
+    ])
+    def test_a_line_end_is_no_end_of_input(self, old, new, message, line, column):
+        with pytest.raises(ParseError) as err:
+            parse_scenario(_PREFIX.replace("[explanation]\n", "").replace(old, new, 1))
+        assert err.value.message == message
+        assert err.value.span == SourceSpan(line, column)  # one column long, as before
+
+    @pytest.mark.parametrize("new, message", [
+        ("S2: p(a).", "expected `LABEL: kind: statement.`"),
+        ("S2: categoric: p(a).", "unknown statement kind 'categoric'"),
+    ])
+    def test_statement_line_without_a_kind(self, new, message):
+        # only an identifier followed by `:` is read as a misspelt kind
+        with pytest.raises(ParseError) as err:
+            parse_scenario(_PREFIX.replace("S2: categorical: p(a).", new, 1))
+        assert err.value.message == message
+        assert (err.value.span.line, err.value.span.column) == (7, 5)
+
     def test_header_names_ignore_case_and_blanks(self):
         text = SCENARIO_OK.replace("[explanation]", " [ Explanation ]\t", 1).replace("[fact]", "[FACT]", 1)
         assert parse_scenario(text) == parse_scenario(SCENARIO_OK)

@@ -386,6 +386,11 @@ PRUNING_BASE = ("P(a). R(a). P(X) & R(X) -> Q(X). "
                 "U1(a). U2(a). U3(a). !U4(a). U5(a). U6(a).")
 
 
+COMPONENTS_BASE = ("Cop(c). Wor(c). Wor(X) -> Ins(X). Fev(c). Wet(c). Fev(X) & Wet(X) -> Hot(X). "
+                   "Sug(c). Loud(c). !Kind(c).")
+COMPONENTS_EXPLANATION = "!Cop(c). !Ins(c). !Hot(c)."
+
+
 class TestMonotonePruning:
     """One four-formula conflict among six unrelated facts (n = 10): the
     enumeration visits 2^10 subsets, but monotonicity decides most of them
@@ -407,6 +412,15 @@ class TestMonotonePruning:
         assert (len(msses), len(muses)) == (4, 1)
         # one check per seed and one per element to grow or shrink it; the walk makes none
         assert 0 < calls <= (len(msses) + len(muses)) * (len(ctx.elements) + 1)
+
+    def test_marco_runs_once_per_component(self, sat_calls):
+        # conflicts of 2, 3 and 4 formulas and three unrelated facts: 2 * 3 * 4
+        # MSSes, which one MARCO over all twelve elements found in 80 checks
+        ctx = _UnionContext(parse_base(COMPONENTS_BASE), parse_base(COMPONENTS_EXPLANATION),
+                            None, 24)
+        msses, muses = ctx.msses_and_muses()
+        assert (len(msses), len(muses)) == (24, 3)
+        assert 0 < sat_calls["is_consistent"] <= 20
 
     def test_max_cardinality_entailment_calls(self, sat_calls):
         result = revise(parse_base(PRUNING_BASE), parse_base("!Q(a)."), phi_of("!Q(a)"),
@@ -443,11 +457,12 @@ def _brute_force_msses(b, e):
     return {s for s in satisfied if not any(s < other for other in satisfied)}
 
 
-class TestMssesAndMuses:
-    def _forms(self, ctx, masks):
-        return [frozenset(el.canonical() for i, el in enumerate(ctx.elements) if s >> i & 1)
-                for s in masks]
+def _mask_forms(ctx, masks):
+    return [frozenset(el.canonical() for i, el in enumerate(ctx.elements) if s >> i & 1)
+            for s in masks]
 
+
+class TestMssesAndMuses:
     def test_matches_brute_force_and_kernel_set(self):
         unions = set()
         for params in _brute_force_params(5300, 40):
@@ -455,9 +470,9 @@ class TestMssesAndMuses:
             ctx = _UnionContext(b, e, None, 24)
             msses, muses = ctx.msses_and_muses()
             assert len(set(msses)) == len(msses)
-            assert set(self._forms(ctx, msses)) == _brute_force_msses(b, e)
+            assert set(_mask_forms(ctx, msses)) == _brute_force_msses(b, e)
             # elements sort canonically, so sorted forms order as sorted indices do
-            ordered = sorted(self._forms(ctx, muses), key=lambda s: (len(s), sorted(s)))
+            ordered = sorted(_mask_forms(ctx, muses), key=lambda s: (len(s), sorted(s)))
             assert ordered == list(kernel_set(b, e).canonical_forms())
             unions.add(bool(muses))
         assert unions == {True, False}
@@ -466,8 +481,66 @@ class TestMssesAndMuses:
         b, e = parse_base("Wor(charlie)."), parse_base("Ins(charlie).")
         ctx = _UnionContext(b, e, None, 24)
         msses, muses = ctx.msses_and_muses()
-        assert self._forms(ctx, msses) == [frozenset({"Ins(charlie)", "Wor(charlie)"})]
+        assert _mask_forms(ctx, msses) == [frozenset({"Ins(charlie)", "Wor(charlie)"})]
         assert muses == []
+
+
+# a planted conflict's base formulas, and the explanation fact that completes it
+PLANTED_CONFLICTS = (("A{i}(c).", "!A{i}(c)"),
+                     ("A{i}(c). A{i}(X) -> B{i}(X).", "!B{i}(c)"),
+                     ("A{i}(c). C{i}(c). A{i}(X) & C{i}(X) -> B{i}(X).", "!B{i}(c)"))
+
+
+def _component_cases(seed: int, trials: int):
+    """Seeded unions of at most 10 elements: one to three planted conflicts
+    over disjoint atoms, unrelated facts and, in about two cases in five with
+    two conflicts or more, the rule `A0(X) -> A1(X)` joining the first two.
+    The explanation is each conflict's fact, and the explanandum their
+    conjunction."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        chosen = [rng.choice(PLANTED_CONFLICTS) for _ in range(rng.randint(1, 3))]
+        while sum(planted.count(".") + 1 for planted, _ in chosen) > 9:
+            chosen.pop()
+        base = [planted.format(i=i) for i, (planted, _) in enumerate(chosen)]
+        facts = [fact.format(i=i) for i, (_, fact) in enumerate(chosen)]
+        bridged = len(chosen) > 1 and rng.random() < 0.4
+        if bridged:
+            base.append("A0(X) -> A1(X).")
+        size = sum(part.count(".") for part in base) + len(facts)
+        base += [f"U{j}(c)." for j in range(rng.randint(0, 10 - size))]
+        yield (parse_base(" ".join(base)), parse_base(" ".join(f + "." for f in facts)),
+               phi_of(" & ".join(facts)), bridged)
+
+
+class TestComponents:
+    """MARCO per atom-connected component against brute force, on unions
+    whose conflicts share no atom unless a bridging rule joins two of them."""
+
+    def test_families_and_weighted_revision_match_brute_force(self):
+        rng = random.Random(2701)
+        seen = Counter()
+        for b, e, phi, bridged in _component_cases(2700, 60):
+            ctx = _UnionContext(b, e, None, 24)
+            n = len(ctx.elements)
+            assert n <= 10
+            components = ctx.subsets.components()
+            assert sum(components) == (1 << n) - 1
+            assert all(not c & d for i, c in enumerate(components) for d in components[i + 1:])
+            assert components == sorted(components, key=lambda c: c & -c)
+            msses, muses = ctx.msses_and_muses()
+            assert all(any(m & c == m for c in components) for m in muses)
+            assert len(set(msses)) == len(msses)
+            assert set(_mask_forms(ctx, msses)) == _brute_force_msses(b, e)
+            ordered = sorted(_mask_forms(ctx, muses), key=lambda s: (len(s), sorted(s)))
+            assert ordered == list(kernel_set(b, e).canonical_forms())
+            weights = {el.canonical(): rng.choice([0, 0.5, 1, 2, 3]) for el in ctx.elements}
+            strategy = SelectionStrategy.named("weighted", weights=weights)
+            expected = select(list(admissible_selections(b, e, phi)), strategy)
+            assert revise(b, e, phi, strategy).retracted == expected
+            seen["merged"] += bridged
+            seen["separate"] += sum(not ctx.consistent(c) for c in components) > 1
+        assert seen["merged"] >= 5 and seen["separate"] >= 5
 
 
 TAUTOLOGICAL_RULE = "P(X) & Q(Y) -> Q(X)"  # its instances with X = Y are tautologies
