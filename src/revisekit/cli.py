@@ -221,11 +221,11 @@ def cmd_kernels(args: argparse.Namespace) -> int:
                 for kernel in falappa.kernel_set(base, explanation, cap)]
         key = "muses"
     else:
-        sets = [[el.canonical() for el in cs]
-                for cs in correction_kernel(base, explanation, cap)]
+        sets = ([el.canonical() for el in cs]  # text prints each set as it is found
+                for cs in correction_kernel(base, explanation, cap))
         key = "correction_sets"
     if args.format == "json":
-        print(json.dumps({key: sets}, indent=2))
+        print(json.dumps({key: list(sets)}, indent=2))
     else:
         for forms in sets:
             print("{" + ", ".join(forms) + "}")

@@ -223,25 +223,22 @@ class _UnionContext:
         Empty when the union is already consistent.
 
         A removal restores consistency exactly when it contains a minimal
-        correction set, the complement of a maximal consistent subset (Reiter
-        1987), so each candidate's mask is one `_holds_any` test against the
-        minimal correction sets known.  After `msses_and_muses` has run on
-        this context all of them are, and the walk makes no SAT call.  Before,
-        they are found lazily: visiting by cardinality makes each candidate
+        correction set (Reiter 1987), so each candidate's mask is one
+        `_holds_any` test against the minimal correction sets found so far.
+        They are found lazily: visiting by cardinality makes each candidate
         that contains none and leaves a consistent remainder a minimal one, so
         a reader of a prefix pays SAT calls only for that prefix."""
         n = len(self.elements)
         everything = (1 << n) - 1
-        bits = [1 << i for i in range(n)]
-        lazy = self._families is None
-        minimal = [] if lazy else [everything ^ kept for kept in self._families[0]]
-        if (lazy and self.consistent(everything)) or 0 in minimal:  # the union is consistent
+        if self.consistent(everything):
             return
+        bits = [1 << i for i in range(n)]
+        minimal: list[int] = []
         for size in range(1, n):
             for combo, combo_bits in zip(combinations(range(n), size), combinations(bits, size)):
                 removed = sum(combo_bits)
                 if not _holds_any(removed, minimal):
-                    if not lazy or not self.consistent(everything ^ removed):
+                    if not self.consistent(everything ^ removed):
                         continue
                     minimal.append(removed)
                 yield combo
@@ -298,8 +295,7 @@ class _UnionContext:
 
     def msses_and_muses(self) -> tuple[list[int], list[int]]:
         """Every maximal consistent and minimal unsatisfiable subset of the
-        union, as lists of masks in no set order, kept on the context; from then
-        on `kernel_indices` decides its candidates by the MSSes' complements.
+        union, as lists of masks in no set order, kept on the context.
 
         A consistent union is its only MSS.  Otherwise MARCO (Liffiton, Previti,
         Malik & Marques-Silva, 2016) runs on each atom-connected component
@@ -349,14 +345,21 @@ def correction_kernel(base: BeliefBase, explanation: BeliefBase,
     the selection upstream degenerates to the empty retraction.
 
     A listing reads the whole stream, so it first takes the minimal
-    correction sets from `msses_and_muses`, one MARCO enumeration per
-    atom-connected component, and its walk over the 2^n candidates makes no
-    SAT call.
+    unsatisfiable subsets from `msses_and_muses`, one MARCO enumeration per
+    atom-connected component.  A removal restores consistency exactly when it
+    meets each of them (Reiter 1987), so the walk makes no SAT call.
     """
     ctx = _UnionContext(base, explanation, None, cap)
-    ctx.msses_and_muses()
-    for indices in ctx.kernel_indices():
-        yield ctx.correction_set(indices)
+    if muses := ctx.msses_and_muses()[1]:
+        bits = [1 << i for i in range(len(ctx.elements))]
+        for size in range(1, len(bits)):
+            for combo, removed in zip(combinations(ctx.elements, size),
+                                      map(sum, combinations(bits, size))):
+                for mus in muses:
+                    if not removed & mus:
+                        break
+                else:
+                    yield CorrectionSet(combo)
 
 
 def admissible_selections(base: BeliefBase, explanation: BeliefBase,

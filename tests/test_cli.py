@@ -350,6 +350,35 @@ class TestKernels:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["correction_sets"]) == 6
 
+    @pytest.mark.parametrize("base, expl", [
+        (BASE, EXPL),
+        ("P(a). P(a) -> Q(a). P(a) -> R(a).\n", "!Q(a). !R(a).\n"),
+        ("Cop(c). Wor(c). Wor(X) -> Ins(X). Fev(c). Fev(X) -> Hot(X). Sug(c).\n",
+         "!Cop(c). !Ins(c). !Hot(c).\n"),
+    ])
+    def test_text_lines_are_the_json_sets(self, tmp_path, capsys, base, expl):
+        paths = [tmp_path / "b.rk", tmp_path / "e.rk"]
+        for path, text in zip(paths, (base, expl)):
+            path.write_text(text, encoding="utf-8")
+        assert cli.main(["kernels", *map(str, paths)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert cli.main(["kernels", *map(str, paths), "--format=json"]) == 0
+        sets = json.loads(capsys.readouterr().out)["correction_sets"]
+        assert len(sets) > 1
+        assert lines == ["{" + ", ".join(forms) + "}" for forms in sets]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_errors_print_no_set(self, tmp_path, base_file, expl_file, capsys, fmt):
+        # the text output streams, so each error must come before the first set
+        assert cli.main(["kernels", str(base_file), str(expl_file), "--max-ground=1",
+                         f"--format={fmt}"]) == 5
+        assert capsys.readouterr().out == ""
+        (tmp_path / "rules.rk").write_text("P(X) -> Q(X).\n", encoding="utf-8")
+        (tmp_path / "empty.rk").write_text("", encoding="utf-8")
+        assert cli.main(["kernels", str(tmp_path / "rules.rk"), str(tmp_path / "empty.rk"),
+                         f"--format={fmt}"]) == 3
+        assert capsys.readouterr().out == ""
+
 
 class TestCorpus:
     def test_text_table(self, capsys):

@@ -258,8 +258,8 @@ class TestCorrectionKernel:
             list(correction_kernel(charlie_base, charlie_explanation, cap=2))
 
     def test_mcs_walk_matches_lazy_walk(self):
-        # the listing walks on the minimal correction sets MARCO found up front;
-        # a fresh context finds them lazily, by SAT calls
+        # the listing tests candidates against the MUSes MARCO found up front;
+        # a fresh context finds the minimal correction sets lazily, by SAT calls
         rng = random.Random(1515)
         seen = Counter()
         for n in range(10, 15):
@@ -282,6 +282,46 @@ class TestCorrectionKernel:
                 seen["overlapping"] += any(m & other for i, m in enumerate(muses)
                                            for other in muses[i + 1:])
         assert seen["consistent"] >= 1 and seen["overlapping"] >= 5
+
+    def test_mus_walk_matches_brute_force_and_kernel_indices(self):
+        seen = Counter()
+        for b, e in _overlapping_cases(2800, 60):
+            listing = list(correction_kernel(b, e))
+            assert [_names(cs) for cs in listing] == _brute_force_stream(b, e, [b, e], bool)
+            fresh = _UnionContext(b, e, None, 24)
+            assert listing == [fresh.correction_set(ix) for ix in fresh.kernel_indices()]
+            muses = fresh.msses_and_muses()[1]
+            # and again on the same context once its families are known
+            assert listing == [fresh.correction_set(ix) for ix in fresh.kernel_indices()]
+            seen["consistent"] += not muses
+            seen["overlapping"] += any(m & other for i, m in enumerate(muses)
+                                       for other in muses[i + 1:])
+            seen["several"] += len(fresh.subsets.components()) > 1
+        assert seen["consistent"] >= 1 and seen["overlapping"] >= 5 and seen["several"] >= 5
+
+
+# a conflict whose fact P{i}(c) lies in both of its MUSes, and its explanation facts
+OVERLAPPING_CONFLICT = ("P{i}(c). P{i}(X) -> Q{i}(X). P{i}(X) -> R{i}(X).", "!Q{i}(c). !R{i}(c).")
+
+
+def _overlapping_cases(seed: int, trials: int):
+    """Seeded unions of at most 9 elements: one to three conflicts over
+    disjoint atoms, some with two MUSes sharing a fact, and unrelated facts.
+    In about one case in six every explanation fact is made positive, and
+    the union is consistent."""
+    rng = random.Random(seed)
+    conflicts = [(planted, fact + ".") for planted, fact in PLANTED_CONFLICTS]
+    for _ in range(trials):
+        chosen = [rng.choice([OVERLAPPING_CONFLICT, *conflicts]) for _ in range(rng.randint(1, 3))]
+        while sum(planted.count(".") + facts.count(".") for planted, facts in chosen) > 9:
+            chosen.pop()
+        base = [planted.format(i=i) for i, (planted, _) in enumerate(chosen)]
+        facts = [fact.format(i=i) for i, (_, fact) in enumerate(chosen)]
+        if rng.random() < 1 / 6:
+            facts = [fact.replace("!", "") for fact in facts]
+        size = sum(part.count(".") for part in base + facts)
+        base += [f"U{j}(c)." for j in range(rng.randint(0, 9 - size))]
+        yield parse_base(" ".join(base)), parse_base(" ".join(facts))
 
 
 def _ground_one(formula, sig):
