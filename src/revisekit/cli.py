@@ -221,11 +221,16 @@ def cmd_kernels(args: argparse.Namespace) -> int:
                 for kernel in falappa.kernel_set(base, explanation, cap)]
         key = "muses"
     else:
-        sets = ([el.canonical() for el in cs]  # text prints each set as it is found
+        sets = ([el.canonical() for el in cs]  # each set is printed as it is found
                 for cs in correction_kernel(base, explanation, cap))
         key = "correction_sets"
     if args.format == "json":
-        print(json.dumps({key: list(sets)}, indent=2))
+        # json.dumps({key: list(sets)}, indent=2) set by set (no set is empty); an error prints nothing
+        lead = "{\n  " + json.dumps(key) + ": [\n    "
+        for forms in sets:
+            print(lead + "[\n      " + ",\n      ".join(map(json.dumps, forms)) + "\n    ]", end="")
+            lead = ",\n    "
+        print("\n  ]\n}" if lead == ",\n    " else json.dumps({key: []}, indent=2))
     else:
         for forms in sets:
             print("{" + ", ".join(forms) + "}")

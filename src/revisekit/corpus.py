@@ -24,7 +24,7 @@ from typing import Any
 
 from .dsl import Scenario, parse_scenario
 from .errors import NoCandidates
-from .logic import DEFAULT_CAP, BeliefBase, Literal, Signature, collect_signature
+from .logic import DEFAULT_CAP, BeliefBase, Signature, collect_signature
 from .metrics import _consequences, _measure, classify_revision, statement_changes
 from .revision import (
     Explanandum,
@@ -106,8 +106,8 @@ def pattern_revision(entry: CorpusEntry, pattern: str,
 
 
 def _row(entry: CorpusEntry, run: str, result: RevisionResult, base: BeliefBase,
-         ctx: _UnionContext, priors: dict[Signature, frozenset[Literal]]) -> dict[str, Any]:
-    """One report row; `priors` holds the base's consequence sets by signature."""
+         ctx: _UnionContext, priors: dict[Signature, frozenset[str]]) -> dict[str, Any]:
+    """One report row; `priors` holds the base's consequence texts by signature."""
     classification = classify_revision(entry.scenario, result)
     sig = collect_signature([base, result.revised])
     if (before := priors.get(sig)) is None:
@@ -146,7 +146,7 @@ def corpus_report(experiment: int | None = None,
     for entry in corpus_entries(experiment):
         base, explanation, phi = scenario_inputs(entry)
         ctx = _validated_context(base, explanation, phi, cap)
-        priors: dict[Signature, frozenset[Literal]] = {}
+        priors: dict[Signature, frozenset[str]] = {}
         if entry.experiment == 2:
             rows.append(_row(entry, f"strategy:{strategy.kind}", _revise(ctx, strategy),
                              base, ctx, priors))

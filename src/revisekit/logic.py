@@ -25,10 +25,10 @@ Two engines are kept deliberately independent:
     and `is_consistent`, `entails` and `consequences`, each of these three
     one query keeping every formula.  A check over at most `_TABLE_ATOMS`
     atoms is an AND of truth tables, with no solver.  A consequence set is a
-    backbone (`_SubsetSolver.consequences`), which asks the solver for every
-    open candidate with the candidate's complement as a further assumption,
-    each probe branching away from the candidates still open so that one
-    model refutes many;
+    backbone of canonical literal texts (`_SubsetSolver._backbone`), which
+    asks the solver for every open candidate with its complement as a further
+    assumption, each probe branching away from the candidates still open so
+    that one model refutes many;
   * `ground_formula` / `ground` build the ground formulas as objects, and
     `enumerate_models` evaluates them semantically over every
     interpretation of the Herbrand base.  This object-level path is the
@@ -747,10 +747,10 @@ class _SubsetSolver:
                 models &= table
         return models != 0
 
-    def consequences(self, kept: int) -> frozenset[Literal]:
-        """The ground literals over the signature's Herbrand base that the
-        kept formulas entail: the backbone of the solver under their
-        assumptions, with s_phi off.
+    def _backbone(self, kept: int) -> list[str]:
+        """The texts of the ground literals over the signature's Herbrand base
+        that the kept formulas entail (`!` before a negative literal's atom), in
+        canonical atom order: the backbone of the solver under their assumptions.
 
         One model is found first; only the literals it makes true can be
         entailed.  Those on its trail below the first decision follow by unit
@@ -764,10 +764,8 @@ class _SubsetSolver:
         Marques-Silva, AI Communications 2015).  Atoms no clause in force
         mentions are free, so only atoms the search assigns inside the Herbrand
         base are candidates.  The backbone is unique, so the steering changes
-        only the number of probes, never the answer.  Only the entailed
-        literals are built: a kept fact is entailed as stated and returned as
-        that very literal, and new atoms over the same constants share one
-        tuple of terms.  Raises InconsistentBase when there is no model.
+        only the number of probes, never the answer.  Raises InconsistentBase
+        when there is no model.
         """
         assumptions = self._assumptions(kept, False)
         solver = self._solver
@@ -780,17 +778,10 @@ class _SubsetSolver:
         predicates = set(self.sig.predicates)
         constants = set(self.sig.constants)
         out = []
-        # the literals built here outlive the call (the change measure holds two
-        # sets at once), so each one saved is one fewer for the cyclic GC to track
-        facts = {f.atom._text: f for i, f in enumerate(self.formulas)
-                 if kept >> i & 1 and isinstance(f, Literal)}
-        terms_of = {text.partition("(")[2]: fact.atom.args for text, fact in facts.items()}
         for text, v in self._index.items():  # canonical order: the index is sorted by text
             predicate, _, rest = text.partition("(")  # the text of Atom(predicate, args)
             args = rest[:-1].split(", ") if rest else []
-            if (predicate, len(args)) not in predicates:
-                continue
-            if not all(a in constants for a in args):
+            if (predicate, len(args)) not in predicates or not all(a in constants for a in args):
                 continue
             lit = v if v in candidates else -v
             if lit not in candidates:
@@ -800,12 +791,23 @@ class _SubsetSolver:
                 if (other := solver.solve(probe, avoid=candidates)) is not None:
                     candidates &= other
                     continue
-            if (fact := facts.get(text)) is not None:
-                out.append(fact)
-                continue
-            if (terms := terms_of.get(rest)) is None:
-                terms = terms_of[rest] = tuple(Term(a) for a in args)
-            out.append(Literal(Atom(predicate, terms), lit < 0))
+            out.append(text if lit > 0 else "!" + text)
+        return out
+
+    def consequences(self, kept: int) -> frozenset[Literal]:
+        """`_backbone(kept)` as literals: a kept fact, entailed as stated, is
+        that very literal, and new atoms over its constants share its terms."""
+        facts = {f._text: f for i, f in enumerate(self.formulas)
+                 if kept >> i & 1 and isinstance(f, Literal)}
+        terms_of = {f.atom._text.partition("(")[2]: f.atom.args for f in facts.values()}
+        out = []
+        for text in self._backbone(kept):
+            if (lit := facts.get(text)) is None:
+                predicate, _, rest = text.lstrip("!").partition("(")
+                if (terms := terms_of.get(rest)) is None:
+                    terms = terms_of[rest] = tuple(map(Term, rest[:-1].split(", "))) if rest else ()
+                lit = Literal(Atom(predicate, terms), text[0] == "!")
+            out.append(lit)
         return frozenset(out)
 
     def mentioning(self, atom: Atom) -> int:

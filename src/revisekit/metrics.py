@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import UnknownLabel
-from .logic import BeliefBase, Literal, Signature, _SubsetSolver, collect_signature, consequences
+from .logic import BeliefBase, Signature, _SubsetSolver, collect_signature
 
 if TYPE_CHECKING:
     from .dsl import Scenario
@@ -51,23 +51,20 @@ def change_measure(base: BeliefBase, revised: BeliefBase) -> ChangeMeasure:
     return _measure(_consequences(checks, base, sig), _consequences(checks, revised, sig))
 
 
-def _consequences(checks: _SubsetSolver, base: BeliefBase, sig: Signature) -> frozenset[Literal]:
-    """`consequences(base, sig)`, read off `checks` when they are over `sig`
-    and hold every formula of `base`, and off a solver of its own otherwise."""
+def _consequences(checks: _SubsetSolver, base: BeliefBase, sig: Signature) -> frozenset[str]:
+    """The texts of `consequences(base, sig)`, off `checks` when they are over
+    `sig` and hold every formula of `base`, and off a solver of its own otherwise."""
     forms = base.canonical_forms()
     kept = sum(1 << i for i, f in enumerate(checks.formulas) if f._text in forms)
     if sig != checks.sig or kept.bit_count() != len(base):
-        return consequences(base, sig)
-    return checks.consequences(kept)
+        checks, kept = _SubsetSolver(base.formulas, sig, ()), (1 << len(base)) - 1
+    return frozenset(checks._backbone(kept))
 
 
-def _measure(before: frozenset[Literal], after: frozenset[Literal]) -> ChangeMeasure:
-    """The change measure between a prior and a posterior consequence set."""
-    sym = before.symmetric_difference(after)
-    union = before.union(after)
-    if not union:
-        return ChangeMeasure(0, 0, Fraction(0))
-    return ChangeMeasure(len(sym), len(union), Fraction(len(sym), len(union)))
+def _measure(before: frozenset[str], after: frozenset[str]) -> ChangeMeasure:
+    """The change measure between a prior and a posterior consequence set of literal texts."""
+    sym, union = len(before ^ after), len(before | after)
+    return ChangeMeasure(sym, union, Fraction(sym, union) if union else Fraction(0))
 
 
 def statement_changes(base: BeliefBase, result: "RevisionResult") -> int:

@@ -40,7 +40,6 @@ from .logic import (
     Term,
     _SubsetSolver,
     collect_signature,
-    consequences,
 )
 from .revision import (
     CANDIDATE_PURE_KINDS,
@@ -306,7 +305,7 @@ def random_instance(params: GeneratorParams,
             continue
         sig = collect_signature([base, Signature(tuple(constants))])
         try:
-            entailed = consequences(base, sig)
+            entailed = frozenset(_SubsetSolver(base.formulas, sig, ())._backbone((1 << len(base)) - 1))
         except InconsistentBase:
             continue
 
@@ -328,27 +327,24 @@ def random_instance(params: GeneratorParams,
 
 
 def _pick_explanandum(rng: random.Random, sig: Signature,
-                      entailed: frozenset[Literal]) -> Explanandum | None:
+                      entailed: frozenset[str]) -> Explanandum | None:
     """A random explanandum over the base's signature; with probability 0.55
     the complement of one literal the base entails, if it entails any.
 
-    `entailed` is the consistent base's `consequences` over `sig`, so it holds
-    at most one of each atom's two literals.
+    `entailed` holds the canonical texts of the consistent base's
+    `consequences` over `sig`, so at most one of each atom's two literals.
     """
     conflict = rng.random() < 0.55
     atoms = list(sig.herbrand_atoms())
     rng.shuffle(atoms)
     if conflict:
         for atom in atoms:
-            for lit in (Literal(atom), Literal(atom, True)):
-                if lit in entailed:
-                    return Explanandum((lit.negate(),))
+            if atom._text in entailed or "!" + atom._text in entailed:
+                return Explanandum((Literal(atom, atom._text in entailed),))
     width = 2 if rng.random() < 0.3 and len(atoms) > 1 else 1
     # Herbrand atoms are distinct, so the first `width` give distinct literals
     picked = tuple(Literal(atom, rng.random() < 0.4) for atom in atoms[:width])
-    if not picked:
-        return None
-    return Explanandum(picked)
+    return Explanandum(picked) if picked else None
 
 
 def reversion_pair(seed: int) -> tuple[BeliefBase, BeliefBase, BeliefBase, Explanandum]:

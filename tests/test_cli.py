@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from revisekit import cli, dsl
 from revisekit.errors import ParseError
 from revisekit.dsl import parse_base, parse_literals
-from revisekit.revision import WEIGHTED, Explanandum, SelectionStrategy, revise
+from revisekit.falappa import kernel_set
+from revisekit.revision import WEIGHTED, Explanandum, SelectionStrategy, correction_kernel, revise
 
 BASE = "Wor(charlie). Wor(charlie) -> Ins(charlie).\n"
 EXPL = "!Ins(charlie).\n"
@@ -366,6 +367,29 @@ class TestKernels:
         sets = json.loads(capsys.readouterr().out)["correction_sets"]
         assert len(sets) > 1
         assert lines == ["{" + ", ".join(forms) + "}" for forms in sets]
+
+    @pytest.mark.parametrize("base, expl, counts", [
+        ("Wor(c).\n", "Ins(c).\n", {"correction_sets": 0, "muses": 0}),  # consistent
+        ("Wor(c).\n", "!Wor(c).\n", {"correction_sets": 2, "muses": 1}),
+        ("Wor(c). Wor(c) -> Ins(c). Wor(d). Wor(d) -> Ins(d).\n", "!Ins(c). !Ins(d).\n",
+         {"correction_sets": 48, "muses": 2}),
+    ])
+    @pytest.mark.parametrize("key", ["correction_sets", "muses"])
+    def test_json_is_the_document_json_dumps_writes(self, tmp_path, capsys, base, expl, counts, key):
+        # the JSON listing is written set by set; its bytes are those of one
+        # json.dumps of the whole list
+        paths = [tmp_path / "b.rk", tmp_path / "e.rk"]
+        for path, text in zip(paths, (base, expl)):
+            path.write_text(text, encoding="utf-8")
+        flags = ["--muses"] if key == "muses" else []
+        assert cli.main(["kernels", *map(str, paths), *flags, "--format=json"]) == 0
+        b, e = parse_base(base), parse_base(expl)
+        if key == "muses":
+            sets = [sorted(el.canonical() for el in kernel) for kernel in kernel_set(b, e)]
+        else:
+            sets = [[el.canonical() for el in cs] for cs in correction_kernel(b, e)]
+        assert len(sets) == counts[key]
+        assert capsys.readouterr().out == json.dumps({key: sets}, indent=2) + "\n"
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_errors_print_no_set(self, tmp_path, base_file, expl_file, capsys, fmt):

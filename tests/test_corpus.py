@@ -277,22 +277,22 @@ class TestSharedContext:
 
         calls: Counter = Counter()
         kernel_indices = revision._UnionContext.kernel_indices
-        read = logic._SubsetSolver.consequences
+        read = logic._SubsetSolver._backbone
 
         def counted_kernel_indices(self):
             calls["kernel_indices"] += 1
             return kernel_indices(self)
 
-        def counted_consequences(*args, **kwargs):
+        def counted_solver(*args, **kwargs):  # a fallback's own solver
             calls["consequences"] += 1
-            return logic.consequences(*args, **kwargs)
+            return logic._SubsetSolver(*args, **kwargs)
 
         def counted_read(self, kept):
             calls["context_reads"] += 1
             return read(self, kept)
         monkeypatch.setattr(revision._UnionContext, "kernel_indices", counted_kernel_indices)
-        monkeypatch.setattr(logic._SubsetSolver, "consequences", counted_read)
-        monkeypatch.setattr(metrics, "consequences", counted_consequences)
+        monkeypatch.setattr(logic._SubsetSolver, "_backbone", counted_read)
+        monkeypatch.setattr(metrics, "_SubsetSolver", counted_solver)
         rows = []
         row = corpus._row
 
@@ -334,25 +334,26 @@ class TestSharedContext:
                                        phi, DEFAULT_CAP)
         assert collect_signature([base, result.revised]) != wider.sig
         calls: Counter = Counter()
-        read = logic._SubsetSolver.consequences
+        read = logic._SubsetSolver._backbone
 
-        def counted_consequences(*args, **kwargs):
+        def counted_solver(*args, **kwargs):  # a fallback's own solver
             calls["consequences"] += 1
-            return logic.consequences(*args, **kwargs)
+            return logic._SubsetSolver(*args, **kwargs)
 
         def counted_read(self, kept):
             if self is wider.subsets or self is ctx.subsets:  # not a fallback's own solver
                 calls["context_reads"] += 1
             return read(self, kept)
-        monkeypatch.setattr(metrics, "consequences", counted_consequences)
-        monkeypatch.setattr(logic._SubsetSolver, "consequences", counted_read)
+        monkeypatch.setattr(metrics, "_SubsetSolver", counted_solver)
+        monkeypatch.setattr(logic._SubsetSolver, "_backbone", counted_read)
         out = corpus._row(entry, "pattern:non-minimal", result, base, wider, {})
         assert calls == {"consequences": 2}
         assert out["change_measure"] == metrics.change_measure(base, result.revised)
         # a base over the context's signature but not of its elements falls back too
         calls.clear()
         other = BeliefBase.from_formulas([lit.negate() for lit in entry.scenario.fact])
-        assert metrics._consequences(ctx.subsets, other, ctx.sig) == logic.consequences(other, ctx.sig)
+        assert metrics._consequences(ctx.subsets, other, ctx.sig) == {
+            str(l) for l in logic.consequences(other, ctx.sig)}
         assert calls == {"consequences": 1}
 
     # md5 prefixes of the CLI output before the runs of an entry shared one

@@ -25,12 +25,14 @@ from revisekit import (
     Rule,
     Signature,
     Term,
+    change_measure,
     collect_signature,
     consequences,
     enumerate_models,
     ground,
 )
 from revisekit.logic import _SubsetSolver, _clauses, _index, _instance, _instances, ground_formula
+from revisekit.metrics import _consequences
 from revisekit.revision import _UnionContext
 
 from conftest import mask
@@ -226,6 +228,20 @@ class TestAgainstReference:
         assert phis >= 100 and absent >= 30 and unit_rules >= 10, (phis, absent, unit_rules)
 
 
+def _model_backbone(base, sig):
+    """The texts of the literals that every model of the ground base over
+    `sig` agrees on, by `enumerate_models`; None when there is no model."""
+    models = enumerate_models(ground(base, sig).formulas, sig)
+    if not models:
+        return None
+    texts = set()
+    for i, atom in enumerate(sig.herbrand_atoms()):
+        values = {m.values[i] for m in models}
+        if len(values) == 1:
+            texts.add(("" if values.pop() else "!") + str(atom))
+    return texts
+
+
 class TestConsequences:
     def test_equal_model_backbone(self):
         """On bases of at most ten Herbrand atoms, the consequences are the
@@ -261,6 +277,47 @@ class TestConsequences:
                 assert consequences(base, narrow) == expected
                 seen["filtered"] += expected != backbone
         assert min(seen.values()) >= 15, seen
+
+    def test_change_measure_equals_the_model_oracle(self):
+        """The change measure between two bases drawn from one random set of
+        formulas with rules counts the symmetric difference and the union of
+        their model backbones over the combined signature; a base read off a
+        solver over another signature falls back to its own solver, and reads
+        the backbone over the signature asked for."""
+        seen: Counter = Counter()
+        for rng, formulas, _ in _cases(2929, 600, max_constants=2):
+            if not any(isinstance(f, Rule) and f.variables() for f in formulas):
+                continue
+            prior = BeliefBase.from_formulas(rng.sample(formulas, rng.randint(0, len(formulas))))
+            revised = BeliefBase.from_formulas(rng.sample(formulas, rng.randint(0, len(formulas))))
+            sig = collect_signature([prior, revised])
+            if len(sig.herbrand_atoms()) > 10:
+                continue
+            try:
+                before, after = _model_backbone(prior, sig), _model_backbone(revised, sig)
+            except EmptyUniverse:
+                with pytest.raises(EmptyUniverse):
+                    change_measure(prior, revised)
+                continue
+            if before is None or after is None:
+                with pytest.raises(InconsistentBase):
+                    change_measure(prior, revised)
+                seen["inconsistent"] += 1
+                continue
+            m = change_measure(prior, revised)
+            assert (m.numerator, m.denominator) == (len(before ^ after), len(before | after))
+            seen["measured"] += 1
+            seen["changed"] += bool(before ^ after)
+            seen["rules"] += any(isinstance(f, Rule) and f.variables()
+                                 for f in (*prior.formulas, *revised.formulas))
+            # the fallback: the solver of both bases is over `sig`, the read over a wider one
+            checks = _SubsetSolver(dict.fromkeys((*prior.formulas, *revised.formulas)), sig, ())
+            wider = Signature(tuple(sorted({*sig.constants, "c9"})), sig.predicates)
+            if len(wider.herbrand_atoms()) <= 10:
+                assert _consequences(checks, prior, wider) == _model_backbone(prior, wider)
+                seen["fallback"] += 1
+        assert seen["rules"] >= 100 and seen["changed"] >= 50, seen
+        assert seen["inconsistent"] >= 10 and seen["fallback"] >= 50, seen
 
     def test_facts_returned_as_stated(self):
         """An entailed fact is the base's own literal, and a derived atom over
@@ -308,6 +365,8 @@ class TestConsequences:
                         ctx.subsets.consequences(kept)
                     continue
                 assert ctx.subsets.consequences(kept) == expected
+                assert ctx.subsets._backbone(kept) == [
+                    str(l) for l in sorted(expected, key=lambda l: l.atom._text)]
                 seen["consistent"] += 1
                 if phi is not None and any(l.atom._text not in kept_atoms for l in phi.literals):
                     seen["explanandum atom unmentioned"] += 1

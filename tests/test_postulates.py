@@ -330,7 +330,7 @@ class TestPickExplanandum:
         for i, base in enumerate(bases):
             sig = collect_signature([base, Signature(tuple(constants))])  # as the generator's
             try:
-                entailed = logic.consequences(base, sig)
+                entailed = frozenset(str(l) for l in logic.consequences(base, sig))
             except InconsistentBase:
                 assert not logic._SubsetSolver(base.formulas, sig, ()).satisfiable((1 << len(base)) - 1, False)
                 inconsistent += 1
