@@ -23,12 +23,13 @@ Two engines are kept deliberately independent:
     consequence set is a `_SubsetSolver` query: explanation validation,
     `revision`'s union contexts, the postulate checks, the change measure,
     and `is_consistent`, `entails` and `consequences`, each of these three
-    one query keeping every formula.  A check over at most `_TABLE_ATOMS`
-    atoms is an AND of truth tables, with no solver.  A consequence set is a
-    backbone of canonical literal texts (`_SubsetSolver._backbone`), which
-    asks the solver for every open candidate with its complement as a further
-    assumption, each probe branching away from the candidates still open so
-    that one model refutes many;
+    one query keeping every formula.  A consequence set is a backbone of
+    canonical literal texts (`_SubsetSolver._backbone`).  Over at most
+    `_TABLE_ATOMS` atoms a check or a backbone is an AND of truth tables,
+    with no solver.  Otherwise the backbone asks the solver for every open
+    candidate with its complement as a further assumption, each probe
+    branching away from the candidates still open so that one model refutes
+    many;
   * `ground_formula` / `ground` build the ground formulas as objects, and
     `enumerate_models` evaluates them semantically over every
     interpretation of the Herbrand base.  This object-level path is the
@@ -679,10 +680,10 @@ def _table(clauses: Iterable[list[int]]) -> int:
 class _SubsetSolver:
     """Consistency, entailment and consequence checks on subsets of a list of
     formulas, each grounded in order by `_instances` and its atoms numbered at
-    construction.  Over at most `_TABLE_ATOMS` atoms every check ANDs the kept
-    formulas' truth tables, which the first check compiles.  Otherwise every
-    check is one solve, and consequences one backbone, of one selector solver,
-    which the first call that needs it builds.
+    construction.  Over at most `_TABLE_ATOMS` atoms every check and backbone
+    ANDs the kept formulas' truth tables, which the first call compiles.
+    Otherwise every check is one solve, and consequences one backbone, of one
+    selector solver, which the first call that needs it builds.
 
     A formula whose clauses are one unit clause, as every fact's are, is kept
     by assuming its literal and dropped by assuming nothing.  Every other
@@ -695,7 +696,8 @@ class _SubsetSolver:
     selector (Een & Sorensson, SAT 2003): its answer is that of the kept
     formulas alone."""
 
-    __slots__ = ("formulas", "sig", "instances", "phi", "_index", "_solver", "_keys", "_tables")
+    __slots__ = ("formulas", "sig", "instances", "phi", "_index", "_solver", "_keys", "_tables",
+                 "_herbrand")
 
     def __init__(self, formulas: Iterable[Formula], sig: Signature, phi: Sequence[Literal]):
         self.formulas = tuple(formulas)
@@ -708,6 +710,8 @@ class _SubsetSolver:
         # s_i), once the solver is built; selectors are the keys past the atoms
         self._keys: list[int] = []
         self._tables: list[int] | None = None  # per formula, then phi's refutation, once compiled
+        # the text and number of each atom in the Herbrand base, once a backbone needs them
+        self._herbrand: list[tuple[str, int]] | None = None
 
     def _assumptions(self, kept: int, refute_phi: bool) -> list[int]:
         """The assumptions selecting the kept formulas (bit i of the mask `kept`
@@ -732,11 +736,9 @@ class _SubsetSolver:
         assumptions.append(s_phi if refute_phi else -s_phi)
         return assumptions
 
-    def satisfiable(self, kept: int, refute_phi: bool) -> bool:
-        """Whether the kept formulas, and the negated explanandum if `refute_phi`, have a model."""
-        if len(self._index) > _TABLE_ATOMS:
-            assumptions = self._assumptions(kept, refute_phi)
-            return self._solver.solve(assumptions) is not None
+    def _models(self, kept: int, refute_phi: bool) -> int:
+        """The truth table of the kept formulas, and of the negated explanandum
+        if `refute_phi`: the AND of their tables, which the first call compiles."""
         if (tables := self._tables) is None:
             negated = _refutation(self.phi, self._index)
             tables = self._tables = [*(_table(_clauses(g, self._index)) for g in self.instances),
@@ -745,28 +747,50 @@ class _SubsetSolver:
         for i, table in enumerate(tables[:-1]):
             if kept >> i & 1:
                 models &= table
-        return models != 0
+        return models
+
+    def satisfiable(self, kept: int, refute_phi: bool) -> bool:
+        """Whether the kept formulas, and the negated explanandum if `refute_phi`, have a model."""
+        if len(self._index) <= _TABLE_ATOMS:
+            return self._models(kept, refute_phi) != 0
+        assumptions = self._assumptions(kept, refute_phi)
+        return self._solver.solve(assumptions) is not None
 
     def _backbone(self, kept: int) -> list[str]:
         """The texts of the ground literals over the signature's Herbrand base
         that the kept formulas entail (`!` before a negative literal's atom), in
-        canonical atom order: the backbone of the solver under their assumptions.
+        canonical atom order.
 
-        One model is found first; only the literals it makes true can be
-        entailed.  Those on its trail below the first decision follow by unit
-        propagation from the assumptions, so they are entailed with no probe.
-        Each remaining candidate, in canonical atom order, is probed by one
-        search under its complement as a further assumption: no model means it
-        is entailed, and a model drops every candidate that model does not make
-        true.  Each probe branches away from the candidates still open (its
-        `avoid` set), so its model leaves them unset or flipped where the
-        clauses allow, and one model refutes many at once (Janota, Lynce &
-        Marques-Silva, AI Communications 2015).  Atoms no clause in force
-        mentions are free, so only atoms the search assigns inside the Herbrand
-        base are candidates.  The backbone is unique, so the steering changes
-        only the number of probes, never the answer.  Raises InconsistentBase
-        when there is no model.
+        Over at most `_TABLE_ATOMS` atoms, literal v is entailed when the kept
+        formulas' table has no bit outside v's.  Otherwise one model is found
+        first; only the literals it makes true can be entailed.  Those on its
+        trail below the first decision follow by unit propagation from the
+        assumptions, so they are entailed with no probe.  Each remaining
+        candidate, in canonical atom order, is probed by one search under its
+        complement as a further assumption: no model means it is entailed, and
+        a model drops every candidate that model does not make true.  Each
+        probe branches away from the candidates still open (its `avoid` set),
+        so its model leaves them unset or flipped where the clauses allow, and
+        one model refutes many at once (Janota, Lynce & Marques-Silva, AI
+        Communications 2015).  Atoms no clause in force mentions are free, so
+        only atoms the search assigns are candidates.  The backbone is unique,
+        so the steering changes only the number of probes, never the answer.
+        Raises InconsistentBase when there is no model.
         """
+        if (herbrand := self._herbrand) is None:
+            predicates, constants = set(self.sig.predicates), set(self.sig.constants)
+            herbrand = self._herbrand = []
+            for text, v in self._index.items():  # canonical order: the index is sorted by text
+                predicate, _, rest = text.partition("(")  # the text of Atom(predicate, args)
+                args = rest[:-1].split(", ") if rest else []
+                if (predicate, len(args)) in predicates and all(a in constants for a in args):
+                    herbrand.append((text, v))
+        if len(self._index) <= _TABLE_ATOMS:
+            if not (models := self._models(kept, False)):
+                raise InconsistentBase("consequences undefined: base has no model")
+            # all models make v true, or none does
+            return [text if models & _LITERAL_TABLES[v] else "!" + text
+                    for text, v in herbrand if models & _LITERAL_TABLES[v] in (models, 0)]
         assumptions = self._assumptions(kept, False)
         solver = self._solver
         model = solver.solve(assumptions)
@@ -775,14 +799,8 @@ class _SubsetSolver:
         candidates = set(model)
         fixed = set(solver.trail[:solver.marks[-1]])
         probe = [*assumptions, 0]  # the assumptions, then the candidate's complement
-        predicates = set(self.sig.predicates)
-        constants = set(self.sig.constants)
         out = []
-        for text, v in self._index.items():  # canonical order: the index is sorted by text
-            predicate, _, rest = text.partition("(")  # the text of Atom(predicate, args)
-            args = rest[:-1].split(", ") if rest else []
-            if (predicate, len(args)) not in predicates or not all(a in constants for a in args):
-                continue
+        for text, v in herbrand:
             lit = v if v in candidates else -v
             if lit not in candidates:
                 continue

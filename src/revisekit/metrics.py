@@ -42,12 +42,15 @@ def change_measure(base: BeliefBase, revised: BeliefBase) -> ChangeMeasure:
     """Normalized symmetric difference of the two consequence sets.
 
     Both sets are computed over the combined signature so the Herbrand base is
-    shared, and read off one solver of the two bases' distinct formulas; two
+    shared, and read off one solver of the two bases' distinct formulas, those
+    in both first: the revised set's first solve then shares the assumptions
+    that keep them with the solves before it, and keeps their propagation.  Two
     bases with no consequences at all count as zero change.  Raises
     InconsistentBase when either base has no model.
     """
     sig = collect_signature([base, revised])
-    checks = _SubsetSolver(dict.fromkeys((*base.formulas, *revised.formulas)), sig, ())
+    shared = [f for f in base.formulas if f in revised]
+    checks = _SubsetSolver(dict.fromkeys((*shared, *base.formulas, *revised.formulas)), sig, ())
     return _measure(_consequences(checks, base, sig), _consequences(checks, revised, sig))
 
 

@@ -30,6 +30,7 @@ from revisekit import (
     consequences,
     enumerate_models,
     ground,
+    parse_base,
 )
 from revisekit.logic import _SubsetSolver, _clauses, _index, _instance, _instances, ground_formula
 from revisekit.metrics import _consequences
@@ -318,6 +319,39 @@ class TestConsequences:
                 seen["fallback"] += 1
         assert seen["rules"] >= 100 and seen["changed"] >= 50, seen
         assert seen["inconsistent"] >= 10 and seen["fallback"] >= 50, seen
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("k", [2, 13])
+    def test_change_measure_ignores_formula_order(self, k, r):
+        """The measure benchmark's shape over k constants, with its minimal
+        and non-minimal revisions and with the explanation alone, which shares
+        no formula with the prior: whatever the order of either base's
+        formulas, the measure is the closed form, and over at most ten
+        Herbrand atoms it counts the model backbones' difference and union."""
+        conditionals = [f"P(X) -> Q{j}(X)." for j in range(1, r + 1)]
+        categoricals = [f"P(e{i})." for i in range(1, k + 1)]
+        explanation = ["A(e1).", "A(X) -> !Q1(X)."]
+        prior = conditionals + categoricals
+        # the prior's (r + 1) * k literals and the explanation's A(e1), !Q1(e1)
+        disjoint = (r + 1) * k + 2
+        cases = ((categoricals[0], k + r + 3, (r + 2) * k + 2),  # minimal: retract P(e1)
+                 (conditionals[0], k + 2, (r + 1) * k + 2),      # non-minimal: P(X) -> Q1(X)
+                 (None, disjoint, disjoint))                     # nothing shared
+        rng = random.Random(f"order:{k}:{r}")
+        for dropped, sym, union in cases:
+            revised = explanation if dropped is None else [s for s in prior if s != dropped] + explanation
+            for trial in range(8):
+                # the written order first, then either base shuffled, then both
+                before, after = (rng.sample(part, len(part)) if trial >> side & 1 else part
+                                 for side, part in enumerate((prior, revised)))
+                pair = parse_base(" ".join(before)), parse_base(" ".join(after))
+                m = change_measure(*pair)
+                assert (m.numerator, m.denominator) == (sym, union), (before, after)
+            sig = collect_signature(pair)
+            if len(sig.herbrand_atoms()) <= 10:
+                old, new = (_model_backbone(base, sig) for base in pair)
+                assert (len(old ^ new), len(old | new)) == (sym, union)
+                assert not (dropped is None and old & new)
 
     def test_facts_returned_as_stated(self):
         """An entailed fact is the base's own literal, and a derived atom over

@@ -41,6 +41,36 @@ def lit(text: str) -> Literal:
     return result
 
 
+# Five 0-ary facts that no signature below mentions.  Added to a base over
+# two atoms or more they take its subset solver past `_TABLE_ATOMS`, onto the
+# selector solver, and their literals, fixed by their own assumptions and
+# outside the signature's Herbrand base, are never probed.
+PAST_TABLES = parse_base("t1. t2. t3. t4. t5.").formulas
+
+
+def past_tables(formulas, sig: Signature) -> list:
+    """`formulas`, then `PAST_TABLES`: over `sig`, more than `_TABLE_ATOMS` atoms."""
+    formulas = [*formulas, *PAST_TABLES]
+    assert len(logic._SubsetSolver(formulas, sig, ())._index) > logic._TABLE_ATOMS
+    return formulas
+
+
+@pytest.fixture
+def built(monkeypatch) -> list:
+    """The clause count of each `_Solver` built, in order."""
+    built = []
+
+    class Counting(_Solver):
+        __slots__ = ()
+
+        def __init__(self, clauses):
+            built.append(len(clauses))
+            super().__init__(clauses)
+
+    monkeypatch.setattr(logic, "_Solver", Counting)
+    return built
+
+
 @pytest.fixture
 def solves(monkeypatch) -> list:
     """One entry per `_Solver.solve` call, whatever its arguments."""
@@ -399,19 +429,11 @@ class TestSolver:
                     seen["gadget flipped"] += 1
         assert min(seen.values()) >= 10, seen
 
-    def test_consequences_builds_one_solver(self, monkeypatch, measure_base, measure_explanation):
-        built = []
-
-        class Counting(_Solver):
-            __slots__ = ()
-
-            def __init__(self, clauses):
-                built.append(len(clauses))
-                super().__init__(clauses)
-
-        monkeypatch.setattr(logic, "_Solver", Counting)
+    def test_consequences_builds_one_solver(self, built, measure_base, measure_explanation):
         sig = collect_signature([measure_base, measure_explanation])
-        assert len(consequences(measure_base, sig)) == 4
+        # the walkthrough's prior past the truth tables, which build no solver
+        prior = BeliefBase.from_formulas(past_tables(measure_base.formulas, sig))
+        assert len(consequences(prior, sig)) == 4
         assert len(built) == 1
 
 
@@ -512,21 +534,25 @@ class TestConsequences:
     def test_backbone_probes_what_propagation_leaves_open(self, solves, measure_base,
                                                           measure_explanation):
         # literals fixed by unit propagation are taken with no probe, so count
-        # the solves: one model, then one probe per candidate left open
+        # the solves: one model, then one probe per candidate left open.  Each
+        # base is taken past the truth tables, which solve nothing.
         # every entailed literal of the walkthrough's prior propagates from its facts
         sig = collect_signature([measure_base, measure_explanation])
-        assert len(consequences(measure_base, sig)) == 4
+        prior = BeliefBase.from_formulas(past_tables(measure_base.formulas, sig))
+        assert len(consequences(prior, sig)) == 4
         assert len(solves) == 1
         # `p -> q` and `!p -> q` entail q only through a decision: q and the
         # first model's value of p are both probed
         solves.clear()
         base = parse_base("p -> q. !p -> q.")
-        assert consequences(base, collect_signature([base])) == {lit("q")}
+        sig = collect_signature([base])
+        assert consequences(BeliefBase.from_formulas(past_tables(base.formulas, sig)), sig) == {lit("q")}
         assert len(solves) == 3
-        # the same under a subset solver's selectors, on every consistent subset
+        # the same under a subset solver's selectors, on every consistent
+        # subset of the first six formulas
         formulas = parse_base("p -> q. !p -> q. r -> !q. r. s -> p. s.").formulas
         sig = collect_signature([formulas])
-        subsets = logic._SubsetSolver(formulas, sig, (lit("q"),))
+        subsets = logic._SubsetSolver(past_tables(formulas, sig), sig, (lit("q"),))
         seen = Counter()
         for kept in range(1 << len(formulas)):
             premises = [f for i, f in enumerate(formulas) if kept >> i & 1]
@@ -868,6 +894,45 @@ class TestTruthTables:
             seen.update(name for name, hit in features.items() if hit)
         assert widths[6] >= 20 and widths[7] >= 20, widths
         assert seen == {"complement", "empty", "tautology", "unmentioned"}
+
+    def test_backbones_match_models_on_every_subset(self, built):
+        # `_backbone` reads the kept tables up to `_TABLE_ATOMS` atoms and
+        # probes the selector solver past them; either way it must list, in
+        # canonical atom order, the literals every model of the kept formulas
+        # agrees on, and a table-sized solver builds no `_Solver` at all
+        seen = Counter()
+        for formulas, phi in self._cases(29, 150):
+            sig = collect_signature([formulas, phi, Signature(("c",))])
+            atoms = [str(a) for a in sig.herbrand_atoms()]
+            grounds = [ground_formula(f, sig) for f in formulas]
+            # each model: the formulas it satisfies, and its atoms' values as bits
+            profiles = []
+            for m in enumerate_models((), sig):
+                values = m.as_dict()
+                held = sum(1 << i for i, g in enumerate(grounds)
+                           if all(logic._evaluate(gf, values) for gf in g))
+                profiles.append((held, sum(v << j for j, v in enumerate(m.values))))
+            every = (1 << len(atoms)) - 1
+            checks = logic._SubsetSolver(formulas, sig, phi)
+            built.clear()
+            for kept in range(1 << len(formulas)):
+                models = [vals for held, vals in profiles if kept & held == kept]
+                assert checks.satisfiable(kept, False) == bool(models)
+                checks.satisfiable(kept, True)  # answered in the test above; here it must build nothing
+                if not models:
+                    with pytest.raises(InconsistentBase):
+                        checks._backbone(kept)
+                    continue
+                true = reduce(and_, models, every)
+                false = reduce(and_, [every ^ m for m in models], every)
+                expected = [("" if true >> j & 1 else "!") + atom for j, atom in enumerate(atoms)
+                            if (true | false) >> j & 1]
+                assert checks._backbone(kept) == expected, (formulas, kept)
+                wide = len(checks._index) > logic._TABLE_ATOMS
+                seen["solver" if wide else "tables"] += 1
+                seen["entailed, solver" if wide else "entailed, tables"] += bool(expected)
+            assert len(built) == (len(checks._index) > logic._TABLE_ATOMS)
+        assert min(seen.values()) >= 1000, seen
 
 
 class TestGroundingSoundness:
